@@ -30,7 +30,7 @@ from .errors import (
     WorkloadError,
     WrongDatabaseError,
 )
-from .grids import Grid, GridSet, elect_coordinator, form_grids
+from .grids import Grid, GridSet, form_grids
 from .report import TOOL_VERSION, build_run_report, canonical_json, serialize_trace
 from .simulate import (
     FLAT,
@@ -108,7 +108,6 @@ __all__ = [
     "database_for",
     "distance",
     "dump_topology",
-    "elect_coordinator",
     "estimate_congestion",
     "estimate_environment",
     "estimate_road_condition",

@@ -109,7 +109,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     workload = _load_workload(args, cfg)
     trace = run_scenario(cfg, workload, args.strategy)
     costs = {args.strategy: cost_of(trace, cfg.cost_params)}
-    grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+    grids = trace.grid_set
+    if grids is None:  # flat forms no grids, but its report lists them
+        grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
     if args.format == "csv":
         _emit(cost_csv(costs), args.out)
     else:

@@ -8,9 +8,8 @@ unless an override pins a specific member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError, OverrideError
 from .topology import SensorNode, SensorType, distance
@@ -91,14 +90,6 @@ class _UnionFind:
             self.rank[ru] += 1
 
 
-def _distance_matrix(sensors: list[SensorNode]) -> np.ndarray:
-    pos = np.array([(s.position.x, s.position.y, s.position.z) for s in sensors])
-    diff = pos[:, None, :] - pos[None, :, :]
-    sq = diff * diff
-    # summed component-wise to round exactly like the scalar distance()
-    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-
-
 def form_grids(
     sensors: list[SensorNode] | tuple[SensorNode, ...],
     threshold: float,
@@ -111,6 +102,9 @@ def form_grids(
     when their direct distance exceeds the threshold. A sensor with no
     qualifying neighbour forms a singleton grid. Output is canonical:
     grids ordered by lowest member id, members sorted.
+
+    Candidate pairs come from a sweep over each type's sensors in x order,
+    so no N x N distance matrix is built.
     """
     if not threshold > 0:
         raise ConfigError("threshold: must be positive")
@@ -118,12 +112,23 @@ def form_grids(
     if not sensors:
         return GridSet(())
 
+    by_type: dict[SensorType, list[int]] = {}
+    for i, sensor in enumerate(sensors):
+        by_type.setdefault(sensor.sensor_type, []).append(i)
     uf = _UnionFind(len(sensors))
-    dist = _distance_matrix(sensors)
-    for i in range(len(sensors)):
-        for j in range(i + 1, len(sensors)):
-            if sensors[i].sensor_type is sensors[j].sensor_type and dist[i, j] < threshold:
-                uf.union(i, j)
+    for indices in by_type.values():
+        indices.sort(key=lambda i: sensors[i].position.x)
+        positions = [sensors[i].position for i in indices]
+        for a, p in enumerate(positions):
+            for b in range(a + 1, len(positions)):
+                q = positions[b]
+                dx = q.x - p.x
+                # distance() >= sqrt(fl(dx*dx)), even when the squares underflow,
+                # and dx only grows along the sweep: no later sensor can join
+                if math.sqrt(dx * dx) >= threshold:
+                    break
+                if distance(p, q) < threshold:
+                    uf.union(indices[a], indices[b])
 
     components: dict[int, list[SensorNode]] = {}
     for i, sensor in enumerate(sensors):
@@ -186,11 +191,3 @@ def elect_coordinator_ids(
             best_sum = total
             best_id = candidate
     return best_id
-
-
-def elect_coordinator(
-    grid: Grid,
-    sensors_by_id: dict[str, SensorNode],
-    override: str | None = None,
-) -> str:
-    return elect_coordinator_ids(grid.members, sensors_by_id, override=override)

@@ -13,7 +13,7 @@ import json
 from .cloud import EstimationReport
 from .grids import GridSet
 from .simulate import COST_METRICS, CostComparison, CostReport, SimulationTrace
-from .topology import ScenarioConfig
+from .topology import ScenarioConfig, config_payload
 
 TOOL_VERSION = "0.1.0"
 
@@ -67,35 +67,6 @@ def canonical_json(value) -> str:
 # ---------------------------------------------------------------------------
 # Dict views of the domain types
 # ---------------------------------------------------------------------------
-
-def config_dict(cfg: ScenarioConfig) -> dict:
-    payload = {
-        "sensors": [
-            {
-                "id": s.node_id,
-                "type": s.sensor_type.value,
-                "x": s.position.x,
-                "y": s.position.y,
-                "z": s.position.z,
-            }
-            for s in cfg.sensors
-        ],
-        "threshold": cfg.threshold,
-        "cost_params": {
-            "wireless_cost_per_unit_distance": cfg.cost_params.wireless_cost_per_unit_distance,
-            "infra_message_cost": cfg.cost_params.infra_message_cost,
-            "computation_op_cost": cfg.cost_params.computation_op_cost,
-        },
-        "segment_length": cfg.segment_length,
-        "duration_ticks": cfg.duration_ticks,
-        "seed": cfg.seed,
-    }
-    if cfg.coordinator_overrides:
-        payload["coordinator_overrides"] = {
-            t.value: node_id for t, node_id in cfg.coordinator_overrides.items()
-        }
-    return payload
-
 
 def gridset_list(grids: GridSet) -> list[dict]:
     return [
@@ -163,7 +134,7 @@ def build_run_report(
     answered: tuple[tuple[int, EstimationReport], ...],
 ) -> dict:
     return {
-        "config": config_dict(cfg),
+        "config": config_payload(cfg),
         "grids": gridset_list(grids),
         "costs": {strategy: cost_dict(r) for strategy, r in costs.items()},
         "reports": [

@@ -34,7 +34,16 @@ from .cloud import (
 )
 from .errors import ConfigError, RoutingError
 from .grids import GridSet, form_grids
-from .topology import CostParams, Position, ScenarioConfig, SensorNode, distance
+from .topology import (
+    CLOUD_SITE,
+    GATEWAY_SITE,
+    USER_SITE,
+    CostParams,
+    Position,
+    ScenarioConfig,
+    SensorNode,
+    distance,
+)
 from .workload import DEFAULT_RANGES, ReadingRanges, Workload, generate_reading, validate_workload
 
 QCPS = "qcps"
@@ -43,10 +52,6 @@ STRATEGIES = (QCPS, FLAT)
 
 WIRELESS = "wireless"
 INFRASTRUCTURE = "infrastructure"
-
-CLOUD_SITE = "cloud"
-USER_SITE = "user"
-GATEWAY_SITE = "gateway"
 
 
 @dataclass(frozen=True)

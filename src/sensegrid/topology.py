@@ -6,6 +6,7 @@ rest of the package treats it as read-only.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -24,6 +25,12 @@ class SensorType(enum.Enum):
 
 
 _TYPE_BY_NAME = {t.value: t for t in SensorType}
+
+# Non-sensor message endpoints and compute sites; no sensor may take these ids.
+CLOUD_SITE = "cloud"
+USER_SITE = "user"
+GATEWAY_SITE = "gateway"
+_RESERVED_IDS = frozenset({CLOUD_SITE, USER_SITE, GATEWAY_SITE})
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,8 @@ class ScenarioConfig:
         for i, s in enumerate(self.sensors):
             if s.node_id in seen:
                 raise ConfigError(f"sensors[{i}].id: duplicate id {s.node_id!r}")
+            if s.node_id in _RESERVED_IDS:
+                raise ConfigError(f"sensors[{i}].id: {s.node_id!r} is a reserved site name")
             seen.add(s.node_id)
         for sensor_type, node_id in self.coordinator_overrides.items():
             node = self.find(node_id)
@@ -129,12 +138,11 @@ class ScenarioConfig:
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance between two 3-D positions.
 
-    Raises ConfigError on non-finite input. The naive sqrt-of-squares form is
-    used deliberately so scalar and vectorized call sites round identically.
+    Position already guarantees finite components. The naive sqrt-of-squares
+    form is used deliberately: every distance in grids, elections and costs
+    rounds the same way, and it never falls below sqrt(dx*dx), which the
+    grid sweep relies on.
     """
-    for p in (a, b):
-        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
-            raise ConfigError("position: must be finite")
     dx = a.x - b.x
     dy = a.y - b.y
     dz = a.z - b.z
@@ -167,9 +175,13 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key}: too large for a float") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: must be finite")
-    return float(value)
+    return value
 
 
 def _require_int(obj: dict, key: str, path: str) -> int:
@@ -205,7 +217,6 @@ def load_topology(config_text: str) -> ScenarioConfig:
     if not isinstance(raw["sensors"], list):
         raise ConfigError("config.sensors: expected an array")
     sensors: list[SensorNode] = []
-    seen: set[str] = set()
     for i, entry in enumerate(raw["sensors"]):
         path = f"config.sensors[{i}]"
         if not isinstance(entry, dict):
@@ -214,9 +225,6 @@ def load_topology(config_text: str) -> ScenarioConfig:
         node_id = entry["id"]
         if not isinstance(node_id, str) or not node_id:
             raise ConfigError(f"{path}.id: expected a non-empty string")
-        if node_id in seen:
-            raise ConfigError(f"{path}.id: duplicate id {node_id!r}")
-        seen.add(node_id)
         type_name = entry["type"]
         if type_name not in _TYPE_BY_NAME:
             raise ConfigError(
@@ -230,34 +238,18 @@ def load_topology(config_text: str) -> ScenarioConfig:
         sensors.append(SensorNode(node_id, _TYPE_BY_NAME[type_name], position))
 
     threshold = _require_number(raw, "threshold", "config")
-    if not threshold > 0:
-        raise ConfigError("config.threshold: must be positive")
 
     cost_raw = raw["cost_params"]
     if not isinstance(cost_raw, dict):
         raise ConfigError("config.cost_params: expected an object")
     _check_keys(cost_raw, _COST_KEYS, _COST_KEYS, "config.cost_params")
-    cost_params = CostParams(
-        wireless_cost_per_unit_distance=_require_number(
-            cost_raw, "wireless_cost_per_unit_distance", "config.cost_params"
-        ),
-        infra_message_cost=_require_number(
-            cost_raw, "infra_message_cost", "config.cost_params"
-        ),
-        computation_op_cost=_require_number(
-            cost_raw, "computation_op_cost", "config.cost_params"
-        ),
-    )
+    costs = {
+        key: _require_number(cost_raw, key, "config.cost_params") for key in sorted(_COST_KEYS)
+    }
 
     segment_length = _require_number(raw, "segment_length", "config")
-    if not segment_length > 0:
-        raise ConfigError("config.segment_length: must be positive")
     duration_ticks = _require_int(raw, "duration_ticks", "config")
-    if duration_ticks < 0:
-        raise ConfigError("config.duration_ticks: must be non-negative")
     seed = _require_int(raw, "seed", "config")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("config.seed: must fit in 64 unsigned bits")
 
     overrides: dict[SensorType, str] = {}
     if "coordinator_overrides" in raw:
@@ -275,19 +267,24 @@ def load_topology(config_text: str) -> ScenarioConfig:
                 )
             overrides[_TYPE_BY_NAME[type_name]] = node_id
 
-    return ScenarioConfig(
-        sensors=tuple(sensors),
-        threshold=threshold,
-        cost_params=cost_params,
-        segment_length=segment_length,
-        duration_ticks=duration_ticks,
-        seed=seed,
-        coordinator_overrides=overrides,
-    )
+    # the value types validate ranges, ids and overrides; their errors name
+    # the field relative to the config root
+    try:
+        return ScenarioConfig(
+            sensors=tuple(sensors),
+            threshold=threshold,
+            cost_params=CostParams(**costs),
+            segment_length=segment_length,
+            duration_ticks=duration_ticks,
+            seed=seed,
+            coordinator_overrides=overrides,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"config.{exc}") from None
 
 
-def dump_topology(cfg: ScenarioConfig) -> str:
-    """Serialize a config to JSON so that load_topology(dump_topology(c)) == c."""
+def config_payload(cfg: ScenarioConfig) -> dict:
+    """The JSON-ready form of a config that load_topology accepts."""
     payload = {
         "sensors": [
             {
@@ -300,11 +297,7 @@ def dump_topology(cfg: ScenarioConfig) -> str:
             for s in cfg.sensors
         ],
         "threshold": cfg.threshold,
-        "cost_params": {
-            "wireless_cost_per_unit_distance": cfg.cost_params.wireless_cost_per_unit_distance,
-            "infra_message_cost": cfg.cost_params.infra_message_cost,
-            "computation_op_cost": cfg.cost_params.computation_op_cost,
-        },
+        "cost_params": dataclasses.asdict(cfg.cost_params),
         "segment_length": cfg.segment_length,
         "duration_ticks": cfg.duration_ticks,
         "seed": cfg.seed,
@@ -313,7 +306,12 @@ def dump_topology(cfg: ScenarioConfig) -> str:
         payload["coordinator_overrides"] = {
             t.value: node_id for t, node_id in cfg.coordinator_overrides.items()
         }
-    return json.dumps(payload, indent=2)
+    return payload
+
+
+def dump_topology(cfg: ScenarioConfig) -> str:
+    """Serialize a config to JSON so that load_topology(dump_topology(c)) == c."""
+    return json.dumps(config_payload(cfg), indent=2)
 
 
 # ---------------------------------------------------------------------------

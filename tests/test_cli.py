@@ -49,6 +49,17 @@ def test_form_grids_invalid_config(tmp_path):
     assert "missing field" in result.stderr
 
 
+def test_form_grids_integer_too_large_for_a_float(tmp_path):
+    raw = json.loads(dump_topology(builtin_testbed()))
+    raw["sensors"][0]["z"] = 10**400
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(raw))
+    result = run_cli("form-grids", "--topology", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: config.sensors[0].z: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_run_is_byte_identical(tmp_path):
     args = (
         "run", "--testbed", "--strategy", "qcps",

@@ -11,7 +11,6 @@ from sensegrid import (
     SensorType,
     builtin_testbed,
     distance,
-    elect_coordinator,
     form_grids,
 )
 from sensegrid.grids import elect_coordinator_ids
@@ -125,6 +124,45 @@ def test_form_grids_matches_closure_oracle():
         assert got == closure_oracle(sensors, threshold)
 
 
+def _line(xs, y=0.0, z=0.0, sensor_type=SensorType.SPEED):
+    prefix = sensor_type.value[0].upper()
+    return [SensorNode(f"{prefix}_{i:03d}", sensor_type, Position(x, y, z)) for i, x in enumerate(xs)]
+
+
+_SWEEP_EDGE_CASES = {
+    # dx*dx underflows to 0, so the distance is 0 and the pair joins; a sweep
+    # that stopped at dx >= threshold would split it
+    "underflow": (_line([0.0, 1e-200]), 1e-200),
+    # dx*dx overflows to inf, so pairs across a gap are inf apart and stay
+    # split; in the second case even when dx itself is below the threshold
+    "overflow": (_line([-1e300, 1e300, 1e300, -1e300], y=1.0), 1.7e308),
+    "overflow_near": (_line([1e300, -1e300, 1e300 + 1e285, 0.0]), 1e286),
+    # no x separation, so the sweep compares every pair
+    "one_x": (
+        [
+            SensorNode(f"N_{i:03d}", SensorType.VISION, Position(7.0, (i * 37) % 50, i % 3))
+            for i in range(40)
+        ],
+        12.0,
+    ),
+    "duplicates": (
+        _line([5.0, 5.0, 1.0, 5.0, 9.0, 1.0])
+        + _line([5.0, 5.0], sensor_type=SensorType.ENVIRONMENT),
+        1e-9,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_EDGE_CASES))
+def test_sweep_edge_cases_match_oracles(case):
+    sensors, threshold = _SWEEP_EDGE_CASES[case]
+    grids = form_grids(sensors, threshold)
+    assert {frozenset(g.members) for g in grids.grids} == closure_oracle(sensors, threshold)
+    nodes = {s.node_id: s for s in sensors}
+    for grid in grids.grids:
+        assert grid.coordinator == medoid_oracle(grid.members, nodes)
+
+
 def test_testbed_coordinators(testbed):
     grids = form_grids(testbed.sensors, 100.0)
     coordinators = {g.sensor_type: g.coordinator for g in grids.grids}
@@ -151,7 +189,7 @@ def test_election_override_non_member_rejected(testbed):
     grids = form_grids(testbed.sensors, 100.0)
     env = next(g for g in grids.grids if g.sensor_type is SensorType.ENVIRONMENT)
     with pytest.raises(OverrideError):
-        elect_coordinator(env, testbed.by_id(), override="VS_1")
+        elect_coordinator_ids(env.members, testbed.by_id(), override="VS_1")
 
 
 def test_election_matches_bruteforce_oracle():

@@ -160,6 +160,26 @@ def test_load_topology_override_must_name_known_sensor_of_type():
         load_topology(json.dumps(raw))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("threshold", -1), ("segment_length", 0), ("duration_ticks", -1), ("seed", 2**64)],
+)
+def test_load_topology_range_errors_name_config_field(field, value):
+    with pytest.raises(ConfigError, match=rf"^config\.{field}: "):
+        load_topology(json.dumps(_testbed_json(**{field: value})))
+
+
+@pytest.mark.parametrize("reserved", ["cloud", "user", "gateway"])
+def test_sensor_id_may_not_alias_a_reserved_site(reserved):
+    raw = _testbed_json()
+    raw["sensors"][2]["id"] = reserved
+    with pytest.raises(ConfigError, match=r"^config\.sensors\[2\]\.id: .*reserved"):
+        load_topology(json.dumps(raw))
+    sensors = (SensorNode(reserved, SensorType.SPEED, Position(0, 0, 0)),)
+    with pytest.raises(ConfigError, match=r"^sensors\[0\]\.id: .*reserved"):
+        ScenarioConfig(sensors=sensors, threshold=10)
+
+
 def test_scenario_config_rejects_negative_ticks_and_costs():
     sensors = builtin_testbed().sensors
     with pytest.raises(ConfigError):
