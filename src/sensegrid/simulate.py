@@ -29,6 +29,7 @@ from .cloud import (
     Cloud,
     CongestionThresholds,
     EstimationReport,
+    Reading,
     SERVICE_SENSOR_TYPE,
     answer_centric_query,
 )
@@ -42,6 +43,7 @@ from .topology import (
     Position,
     ScenarioConfig,
     SensorNode,
+    SensorType,
     distance,
 )
 from .workload import DEFAULT_RANGES, ReadingRanges, Workload, generate_reading, validate_workload
@@ -199,6 +201,32 @@ def _events_by_tick(workload: Workload):
     return queries, requests
 
 
+class _Readings:
+    """Every reading of one scenario, generated a (sensor type, tick) batch
+    at a time on first use and kept, so runs sharing it never regenerate one.
+
+    A batch lists the type's sensors in config order.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, ranges: ReadingRanges) -> None:
+        self._seed = cfg.seed
+        self._ranges = ranges
+        self._sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
+        for sensor in cfg.sensors:
+            self._sensors_of[sensor.sensor_type].append(sensor)
+        self._batches: dict[tuple[SensorType, int], list[Reading]] = {}
+
+    def batch(self, sensor_type: SensorType, tick: int) -> list[Reading]:
+        key = (sensor_type, tick)
+        readings = self._batches.get(key)
+        if readings is None:
+            readings = self._batches[key] = [
+                generate_reading(sensor, tick, self._seed, self._ranges)
+                for sensor in self._sensors_of[sensor_type]
+            ]
+        return readings
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     workload: Workload,
@@ -210,22 +238,26 @@ def run_scenario(
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
     validate_workload(workload, cfg)
-    if strategy == QCPS:
-        return _run_qcps(cfg, workload, thresholds, ranges)
-    return _run_flat(cfg, workload, thresholds, ranges)
+    run = _run_qcps if strategy == QCPS else _run_flat
+    return run(cfg, workload, thresholds, _Readings(cfg, ranges))
 
 
 def _run_qcps(
     cfg: ScenarioConfig,
     workload: Workload,
     thresholds: CongestionThresholds,
-    ranges: ReadingRanges,
+    readings: _Readings,
 ) -> SimulationTrace:
     grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
     by_id = cfg.by_id()
     coordinator_of = {
         member: grid.coordinator for grid in grids.grids for member in grid.members
     }
+    report_hops = []
+    for sensor in cfg.sensors:
+        coordinator = coordinator_of[sensor.node_id]
+        hop = distance(sensor.position, by_id[coordinator].position)
+        report_hops.append((sensor.node_id, coordinator, hop))
     cloud = Cloud()
     log = _MessageLog()
     events: list[ComputeEvent] = []
@@ -234,12 +266,13 @@ def _run_qcps(
 
     for tick in _ticks_to_process(cfg, workload):
         if tick < cfg.duration_ticks:
-            for sensor in cfg.sensors:
-                coordinator = coordinator_of[sensor.node_id]
-                hop = distance(sensor.position, by_id[coordinator].position)
-                log.send(tick, sensor.node_id, coordinator, WIRELESS, "report", hop)
+            for node_id, coordinator, hop in report_hops:
+                log.send(tick, node_id, coordinator, WIRELESS, "report", hop)
                 log.send(tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "report")
-                cloud.ingest(generate_reading(sensor, tick, cfg.seed, ranges))
+            for sensor_type in SensorType:
+                db = cloud.db(sensor_type)
+                for reading in readings.batch(sensor_type, tick):
+                    db.ingest(reading)
         for query in queries_at.get(tick, ()):
             messages, query_events, report = route_user_query(
                 query,
@@ -282,7 +315,7 @@ def _run_flat(
     cfg: ScenarioConfig,
     workload: Workload,
     thresholds: CongestionThresholds,
-    ranges: ReadingRanges,
+    readings: _Readings,
 ) -> SimulationTrace:
     by_id = cfg.by_id()
     gateway_distance: dict[str, float] = {}
@@ -291,6 +324,8 @@ def _run_flat(
         gateway_distance = {
             s.node_id: distance(gateway, s.position) for s in cfg.sensors
         }
+    cloud = Cloud()
+    ingested: set[tuple[SensorType, int]] = set()
     log = _MessageLog()
     events: list[ComputeEvent] = []
     answered: list[tuple[int, EstimationReport]] = []
@@ -299,9 +334,9 @@ def _run_flat(
 
     for tick in _ticks_to_process(cfg, workload):
         for query in queries_at.get(tick, ()):
-            relevant_types = {
+            relevant_types = [
                 SERVICE_SENSOR_TYPE[service] for service in query.requested_services
-            }
+            ]
             polled = [s for s in cfg.sensors if s.sensor_type in relevant_types]
             start, end = query.window
             for window_tick in range(start, end + 1):
@@ -314,18 +349,20 @@ def _run_flat(
                         tick, sensor.node_id, GATEWAY_SITE, WIRELESS, "response", hop
                     )
             events.extend(ComputeEvent(tick, GATEWAY_SITE) for _ in query.requested_services)
-            # aggregate whatever the polled sensors have actually sensed so far
-            scratch = Cloud()
-            for window_tick in range(start, min(end, tick, last_sensed) + 1):
-                for sensor in polled:
-                    scratch.ingest(
-                        generate_reading(sensor, window_tick, cfg.seed, ranges)
-                    )
+            # The gateway aggregates what the polled sensors have sensed so far.
+            # One store serves every query: each (type, tick) batch goes in the
+            # first time a clipped window covers it. Queries arrive in tick
+            # order, so the store never holds a reading sensed after this tick,
+            # and the estimators do not depend on row order (fmean is fsum / n).
+            for sensor_type in relevant_types:
+                db = cloud.db(sensor_type)
+                for window_tick in range(start, min(end, tick, last_sensed) + 1):
+                    if (sensor_type, window_tick) not in ingested:
+                        ingested.add((sensor_type, window_tick))
+                        for reading in readings.batch(sensor_type, window_tick):
+                            db.ingest(reading)
             answered.append(
-                (
-                    tick,
-                    answer_centric_query(query, scratch, cfg.segment_length, thresholds),
-                )
+                (tick, answer_centric_query(query, cloud, cfg.segment_length, thresholds))
             )
         for requester, target in requests_at.get(tick, ()):
             hop = distance(by_id[requester].position, by_id[target].position)
@@ -393,9 +430,14 @@ def compare_strategies(
     ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> CostComparison:
     """Run both strategies on the identical workload; delta is qcps minus flat,
-    so a negative entry means the grid strategy reduced that metric."""
-    qcps_trace = run_scenario(cfg, workload, QCPS, thresholds, ranges)
-    flat_trace = run_scenario(cfg, workload, FLAT, thresholds, ranges)
+    so a negative entry means the grid strategy reduced that metric.
+
+    Both strategies read one shared set of readings, so flat reuses every
+    reading qcps generated."""
+    validate_workload(workload, cfg)
+    readings = _Readings(cfg, ranges)
+    qcps_trace = _run_qcps(cfg, workload, thresholds, readings)
+    flat_trace = _run_flat(cfg, workload, thresholds, readings)
     qcps_report = cost_of(qcps_trace, cfg.cost_params)
     flat_report = cost_of(flat_trace, cfg.cost_params)
     delta = {

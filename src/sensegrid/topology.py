@@ -33,6 +33,16 @@ GATEWAY_SITE = "gateway"
 _RESERVED_IDS = frozenset({CLOUD_SITE, USER_SITE, GATEWAY_SITE})
 
 
+def _require_finite(value: float, name: str) -> None:
+    """Reject infinities, NaN and integers too large for a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: too large for a float") from None
+    if not finite:
+        raise ConfigError(f"{name}: must be finite")
+
+
 @dataclass(frozen=True)
 class Position:
     """A point in abstract 3-D length units; all components must be finite."""
@@ -43,8 +53,7 @@ class Position:
 
     def __post_init__(self) -> None:
         for axis in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, axis)):
-                raise ConfigError(f"position.{axis}: must be finite")
+            _require_finite(getattr(self, axis), f"position.{axis}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class CostParams:
             "infra_message_cost",
             "computation_op_cost",
         ):
+            _require_finite(getattr(self, name), f"cost_params.{name}")
             if getattr(self, name) < 0:
                 raise ConfigError(f"cost_params.{name}: must be non-negative")
 
@@ -98,8 +108,10 @@ class ScenarioConfig:
     coordinator_overrides: dict[SensorType, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require_finite(self.threshold, "threshold")
         if not self.threshold > 0:
             raise ConfigError("threshold: must be positive")
+        _require_finite(self.segment_length, "segment_length")
         if not self.segment_length > 0:
             raise ConfigError("segment_length: must be positive")
         if self.duration_ticks < 0:
@@ -175,13 +187,8 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}.{key}: too large for a float") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
-    return value
+    _require_finite(value, f"{path}.{key}")
+    return float(value)
 
 
 def _require_int(obj: dict, key: str, path: str) -> int:

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's own clustering, election, and
 accounting code paths: clustering is checked against fixpoint set merging,
-election against a from-scratch argmin, and cost reports against a direct
-re-summation of the raw trace. Distance terms are accumulated in the same
+election against a from-scratch argmin, cost reports against a direct
+re-summation of the raw trace, and flat's answers against a fresh store
+rebuilt for every query. Distance terms are accumulated in the same
 (sorted) order as the implementation so exact-tie cases stay exact.
 """
 
@@ -12,7 +13,17 @@ from __future__ import annotations
 import math
 import random
 
-from sensegrid import Position, SensorNode, SensorType
+from sensegrid import (
+    Cloud,
+    CongestionThresholds,
+    Position,
+    SensorNode,
+    SensorType,
+    answer_centric_query,
+    generate_reading,
+)
+from sensegrid.cloud import SERVICE_SENSOR_TYPE
+from sensegrid.workload import DEFAULT_RANGES
 
 
 def raw_distance(a: Position, b: Position) -> float:
@@ -82,6 +93,27 @@ def resum_costs(trace) -> dict[str, float | int]:
         "cloud_op_count": cloud_ops,
         "node_op_count": node_ops,
     }
+
+
+def flat_answers_oracle(
+    cfg, workload, thresholds=CongestionThresholds(), ranges=DEFAULT_RANGES
+):
+    """Flat's answers, each from a fresh cloud that holds exactly the readings
+    its polled sensors sensed inside the query window up to the query tick."""
+    answered = []
+    last_sensed = cfg.duration_ticks - 1
+    for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
+        types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
+        polled = [s for s in cfg.sensors if s.sensor_type in types]
+        start, end = query.window
+        scratch = Cloud()
+        for window_tick in range(start, min(end, tick, last_sensed) + 1):
+            for sensor in polled:
+                scratch.ingest(generate_reading(sensor, window_tick, cfg.seed, ranges))
+        answered.append(
+            (tick, answer_centric_query(query, scratch, cfg.segment_length, thresholds))
+        )
+    return tuple(answered)
 
 
 def random_instance(rng: random.Random, max_nodes: int = 50) -> list[SensorNode]:

@@ -60,6 +60,17 @@ def test_form_grids_integer_too_large_for_a_float(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_run_rejects_an_infinite_threshold(tmp_path):
+    out = tmp_path / "report.json"
+    result = run_cli(
+        "run", "--testbed", "--strategy", "qcps", "--threshold", "inf", "--out", str(out)
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: threshold: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_run_is_byte_identical(tmp_path):
     args = (
         "run", "--testbed", "--strategy", "qcps",

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensegrid import (
     CentricQuery,
@@ -9,8 +10,12 @@ from sensegrid import (
     CostParams,
     FLAT,
     Message,
+    Position,
     QCPS,
     RoutingError,
+    ScenarioConfig,
+    SensorNode,
+    SensorType,
     Service,
     SimulationTrace,
     Workload,
@@ -26,9 +31,11 @@ from sensegrid import (
     run_scenario,
     serialize_trace,
 )
+from sensegrid import simulate
+from sensegrid.cloud import SERVICE_SENSOR_TYPE
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS
 
-from helpers import random_instance, resum_costs
+from helpers import flat_answers_oracle, random_instance, resum_costs
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +319,150 @@ def test_messages_ordered_and_unique(testbed):
         assert len(ids) == len(set(ids))
         keys = [(m.tick, m.msg_id) for m in trace.messages]
         assert keys == sorted(keys)
+
+
+def test_flat_answers_match_oracle_over_random_scenarios():
+    rng = random.Random(31337)
+    for _ in range(15):
+        sensors = random_instance(rng, max_nodes=12)
+        cfg = dataclasses.replace(
+            builtin_testbed(),
+            sensors=tuple(sensors),
+            duration_ticks=rng.randint(1, 12),
+            seed=rng.getrandbits(32),
+        )
+        workload = generate_workload(cfg, rng.randint(1, 5), 0)
+        assert run_scenario(cfg, workload, FLAT).answered == flat_answers_oracle(
+            cfg, workload
+        )
+
+
+def _queries(*entries):
+    """(tick, services, window) triples as a workload of API-built queries."""
+    return Workload(
+        queries=tuple(
+            (tick, CentricQuery(f"Q{i + 1}", tuple(services), window))
+            for i, (tick, services, window) in enumerate(entries)
+        )
+    )
+
+
+ALL = tuple(Service)
+SPEED, ROAD, ENV, CONGESTION = (
+    Service.VELOCITY_TRAVEL_TIME,
+    Service.ROAD_CONDITION,
+    Service.ENVIRONMENT,
+    Service.CONGESTION,
+)
+
+WINDOW_CASES = {
+    "start_after_zero": (12, _queries((5, ALL, (3, 5)), (9, ALL, (4, 9)))),
+    "end_before_tick": (12, _queries((8, ALL, (0, 2)), (10, ALL, (1, 6)))),
+    "reach_back_before_earlier_window": (
+        12, _queries((4, ALL, (3, 4)), (6, ALL, (0, 6)), (6, ALL, (2, 2)))
+    ),
+    "end_past_tick_and_run": (12, _queries((3, ALL, (0, 20)), (11, ALL, (2, 30)))),
+    "single_service": (
+        12,
+        _queries(
+            (2, (SPEED,), (0, 2)),
+            (5, (ROAD,), (1, 9)),
+            (7, (ENV,), (0, 7)),
+            (7, (CONGESTION,), (3, 4)),
+            (11, (SPEED,), (0, 11)),
+        ),
+    ),
+    "zero_tick_run": (0, _queries((0, ALL, (0, 0)), (0, (ENV,), (0, 5)))),
+    "one_tick_run": (1, _queries((0, ALL, (0, 3)), (0, (SPEED, ROAD), (1, 2)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_flat_answers_match_oracle_for_api_windows(testbed, case):
+    ticks, workload = WINDOW_CASES[case]
+    cfg = dataclasses.replace(testbed, duration_ticks=ticks)
+    flat = run_scenario(cfg, workload, FLAT).answered
+    assert flat == flat_answers_oracle(cfg, workload)
+    assert flat == run_scenario(cfg, workload, QCPS).answered
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The (sensor id, tick) key of every reading the simulator generates."""
+    keys = []
+    real = simulate.generate_reading
+
+    def counting(sensor, tick, *rest):
+        keys.append((sensor.node_id, tick))
+        return real(sensor, tick, *rest)
+
+    monkeypatch.setattr(simulate, "generate_reading", counting)
+    return keys
+
+
+def test_compare_generates_each_reading_once(testbed, generated):
+    cfg = dataclasses.replace(testbed, duration_ticks=30)
+    compare_strategies(cfg, generate_workload(cfg, 6, 4))
+    assert len(generated) == len(set(generated)) == len(cfg.sensors) * cfg.duration_ticks
+
+
+def test_flat_generates_only_its_clipped_windows(testbed, generated):
+    cfg = dataclasses.replace(testbed, duration_ticks=12)
+    workload = _queries(
+        (4, (SPEED,), (2, 6)),
+        (6, (ROAD, ENV), (3, 20)),
+        (9, (SPEED, CONGESTION), (0, 3)),
+        (11, (ENV,), (5, 8)),
+    )
+    run_scenario(cfg, workload, FLAT)
+    expected = set()
+    for tick, query in workload.queries:
+        types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
+        start, end = query.window
+        expected.update(
+            (sensor.node_id, window_tick)
+            for window_tick in range(start, min(end, tick) + 1)
+            for sensor in cfg.sensors
+            if sensor.sensor_type in types
+        )
+    assert len(generated) == len(set(generated))
+    assert set(generated) == expected
+
+
+@st.composite
+def _small_scenarios(draw):
+    sensors = tuple(
+        SensorNode(
+            f"N{i}",
+            draw(st.sampled_from(SensorType)),
+            Position(*(draw(st.integers(0, 40)) for _ in range(3))),
+        )
+        for i in range(draw(st.integers(0, 6)))
+    )
+    ticks = draw(st.integers(0, 6))
+    cfg = ScenarioConfig(
+        sensors=sensors,
+        threshold=draw(st.integers(1, 60)),
+        duration_ticks=ticks,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, 8))
+        entries.append(
+            (
+                draw(st.integers(0, max(0, ticks - 1))),
+                draw(st.lists(st.sampled_from(Service), min_size=1, max_size=4, unique=True)),
+                (start, draw(st.integers(start, 10))),
+            )
+        )
+    return cfg, _queries(*entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(_small_scenarios())
+def test_strategies_answer_like_the_oracle(scenario):
+    cfg, workload = scenario
+    qcps = run_scenario(cfg, workload, QCPS).answered
+    assert qcps == run_scenario(cfg, workload, FLAT).answered
+    assert qcps == flat_answers_oracle(cfg, workload)

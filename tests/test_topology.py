@@ -41,6 +41,32 @@ def test_distance_rejects_non_finite():
         Position(0, float("inf"), 0)
 
 
+def test_position_rejects_an_integer_too_large_for_a_float():
+    with pytest.raises(ConfigError, match=r"^position\.x: too large for a float$"):
+        Position(10**400, 0, 0)
+    with pytest.raises(ConfigError, match=r"^position\.z: too large for a float$"):
+        Position(0, 0, -(10**400))
+    raw = _testbed_json()
+    raw["sensors"][0]["x"] = 10**400
+    with pytest.raises(
+        ConfigError, match=r"^config\.sensors\[0\]\.x: too large for a float$"
+    ):
+        load_topology(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge_int"]
+)
+def test_scenario_numbers_must_be_finite(value):
+    sensors = builtin_testbed().sensors
+    with pytest.raises(ConfigError, match=r"^threshold: "):
+        ScenarioConfig(sensors=sensors, threshold=value)
+    with pytest.raises(ConfigError, match=r"^segment_length: "):
+        ScenarioConfig(sensors=sensors, threshold=10, segment_length=value)
+    with pytest.raises(ConfigError, match=r"^cost_params\.infra_message_cost: "):
+        CostParams(infra_message_cost=value)
+
+
 def test_distance_metric_properties():
     rng = random.Random(20240817)
     for _ in range(300):
