@@ -3,6 +3,14 @@
 Reports must be byte-identical across runs and platforms, so JSON is
 emitted by a small writer of our own: keys sorted, floats fixed at six
 decimal places, no locale or dict-order dependence anywhere.
+
+A trace holds one message per transmission, hundreds of thousands in a
+large run, so ``serialize_trace`` does not build a dict per message for the
+recursive writer: it writes the top-level object itself and each message as
+one row from a fixed template, with exact-type fast paths for str, int and
+float and the recursive writer for any other value. Its bytes equal
+``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict view
+kept in the tests as the reference, and the tests enforce it.
 """
 
 from __future__ import annotations
@@ -97,34 +105,92 @@ def estimation_report_dict(report: EstimationReport) -> dict:
     return {"query_id": report.query_id, "sections": sections}
 
 
-def trace_dict(trace: SimulationTrace) -> dict:
-    return {
-        "strategy": trace.strategy,
-        "messages": [
-            {
-                "msg_id": m.msg_id,
-                "tick": m.tick,
-                "src": m.src,
-                "dst": m.dst,
-                "medium": m.medium,
-                "purpose": m.purpose,
-                "wireless_distance": m.wireless_distance,
-            }
-            for m in trace.messages
-        ],
-        "compute_events": [
-            {"tick": e.tick, "site": e.site, "op_count": e.op_count}
-            for e in trace.compute_events
-        ],
-        "grids": gridset_list(trace.grid_set) if trace.grid_set is not None else None,
-        "reports": [
-            dict(estimation_report_dict(r), tick=tick) for tick, r in trace.answered
-        ],
-    }
+# One message as ``_write_canonical`` writes it inside the trace's message
+# list (depth 2): keys sorted, one value per slot.
+_MESSAGE_ROW = (
+    "    {\n"
+    '      "dst": %s,\n'
+    '      "medium": %s,\n'
+    '      "msg_id": %s,\n'
+    '      "purpose": %s,\n'
+    '      "src": %s,\n'
+    '      "tick": %s,\n'
+    '      "wireless_distance": %s\n'
+    "    }"
+)
+_ROWS_PER_CHUNK = 4096  # rows joined at a time, so no second full copy exists
 
 
 def serialize_trace(trace: SimulationTrace) -> str:
-    return canonical_json(trace_dict(trace))
+    """The canonical JSON of a trace: strategy, messages, compute events,
+    grids (null for flat) and the answered reports with their ticks."""
+    names: dict[str, str] = {}
+
+    def _scalar(value) -> str:
+        kind = type(value)
+        if kind is str:
+            text = names.get(value)
+            if text is None:
+                text = names[value] = json.dumps(value)
+            return text
+        if kind is int:
+            return str(value)
+        if kind is float:
+            return "0.000000" if value == 0 else format(value, ".6f")
+        nested = io.StringIO()
+        _write_canonical(value, nested, 3)
+        return nested.getvalue()
+
+    out = io.StringIO()
+    out.write('{\n  "compute_events": ')
+    _write_canonical(
+        [
+            {"tick": e.tick, "site": e.site, "op_count": e.op_count}
+            for e in trace.compute_events
+        ],
+        out,
+        1,
+    )
+    out.write(',\n  "grids": ')
+    grids = gridset_list(trace.grid_set) if trace.grid_set is not None else None
+    _write_canonical(grids, out, 1)
+    out.write(',\n  "messages": ')
+    messages = trace.messages
+    if messages:
+        out.write("[\n")
+        for start in range(0, len(messages), _ROWS_PER_CHUNK):
+            if start:
+                out.write(",\n")
+            out.write(
+                ",\n".join(
+                    [
+                        _MESSAGE_ROW
+                        % (
+                            _scalar(m.dst),
+                            _scalar(m.medium),
+                            _scalar(m.msg_id),
+                            _scalar(m.purpose),
+                            _scalar(m.src),
+                            _scalar(m.tick),
+                            _scalar(m.wireless_distance),
+                        )
+                        for m in messages[start : start + _ROWS_PER_CHUNK]
+                    ]
+                )
+            )
+        out.write("\n  ]")
+    else:
+        out.write("[]")
+    out.write(',\n  "reports": ')
+    _write_canonical(
+        [dict(estimation_report_dict(r), tick=tick) for tick, r in trace.answered],
+        out,
+        1,
+    )
+    out.write(',\n  "strategy": ')
+    _write_canonical(trace.strategy, out, 1)
+    out.write("\n}\n")
+    return out.getvalue()
 
 
 def build_run_report(

@@ -22,13 +22,17 @@ from .cloud import (
     VisionPayload,
     service_from_name,
 )
-from .errors import WorkloadError
-from .topology import ScenarioConfig, SensorNode, SensorType
+from .errors import ConfigError, WorkloadError
+from .topology import ScenarioConfig, SensorNode, SensorType, _require_finite
 
 
 @dataclass(frozen=True)
 class ReadingRanges:
-    """Value ranges and event probabilities for generated readings."""
+    """Value ranges and event probabilities for generated readings.
+
+    Every value drawn from them must make a valid payload, so the ranges are
+    checked here rather than failing mid-run on the first bad reading.
+    """
 
     speed: tuple[float, float] = (5.0, 35.0)
     temperature: tuple[float, float] = (-5.0, 45.0)
@@ -37,6 +41,29 @@ class ReadingRanges:
     distorted_prob: float = 0.1
     crash_prob: float = 0.01
     vehicle_count: tuple[int, int] = (0, 40)
+
+    def __post_init__(self) -> None:
+        for name in ("speed", "temperature", "humidity", "light", "vehicle_count"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, tuple) or len(bounds) != 2:
+                raise ConfigError(f"ranges.{name}: expected a (low, high) pair")
+            for bound in bounds:
+                _require_finite(bound, f"ranges.{name}")
+            if bounds[0] > bounds[1]:
+                raise ConfigError(f"ranges.{name}: low bound exceeds high bound")
+        if self.speed[0] <= 0:
+            raise ConfigError("ranges.speed: must be positive")
+        if self.humidity[0] < 0 or self.humidity[1] > 100:
+            raise ConfigError("ranges.humidity: must lie in [0, 100]")
+        if self.light[0] < 0:
+            raise ConfigError("ranges.light: must be non-negative")
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in self.vehicle_count):
+            raise ConfigError("ranges.vehicle_count: bounds must be integers")
+        if self.vehicle_count[0] < 0:
+            raise ConfigError("ranges.vehicle_count: must be non-negative")
+        for name in ("distorted_prob", "crash_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"ranges.{name}: must lie in [0, 1]")
 
 
 DEFAULT_RANGES = ReadingRanges()

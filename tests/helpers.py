@@ -3,9 +3,11 @@
 The oracles deliberately avoid the package's own clustering, election, and
 accounting code paths: clustering is checked against fixpoint set merging,
 election against a from-scratch argmin, cost reports against a direct
-re-summation of the raw trace, and flat's answers against a fresh store
-rebuilt for every query. Distance terms are accumulated in the same
-(sorted) order as the implementation so exact-tie cases stay exact.
+re-summation of the raw trace, flat's answers against a fresh store
+rebuilt for every query, the trace serializer against the recursive
+canonical writer over a dict per message, and message counts against their
+closed forms. Distance terms are accumulated in the same (sorted) order as
+the implementation so exact-tie cases stay exact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from sensegrid import (
     generate_reading,
 )
 from sensegrid.cloud import SERVICE_SENSOR_TYPE
+from sensegrid.report import canonical_json, estimation_report_dict, gridset_list
 from sensegrid.workload import DEFAULT_RANGES
 
 
@@ -93,6 +96,63 @@ def resum_costs(trace) -> dict[str, float | int]:
         "cloud_op_count": cloud_ops,
         "node_op_count": node_ops,
     }
+
+
+def trace_dict(trace) -> dict:
+    """A trace as plain data, one dict per message and compute event."""
+    return {
+        "strategy": trace.strategy,
+        "messages": [
+            {
+                "msg_id": m.msg_id,
+                "tick": m.tick,
+                "src": m.src,
+                "dst": m.dst,
+                "medium": m.medium,
+                "purpose": m.purpose,
+                "wireless_distance": m.wireless_distance,
+            }
+            for m in trace.messages
+        ],
+        "compute_events": [
+            {"tick": e.tick, "site": e.site, "op_count": e.op_count}
+            for e in trace.compute_events
+        ],
+        "grids": gridset_list(trace.grid_set) if trace.grid_set is not None else None,
+        "reports": [
+            dict(estimation_report_dict(r), tick=tick) for tick, r in trace.answered
+        ],
+    }
+
+
+def serialize_trace_oracle(trace) -> str:
+    """The canonical trace text through the recursive writer."""
+    return canonical_json(trace_dict(trace))
+
+
+def qcps_message_count(cfg, workload) -> int:
+    """Each sensor reports and its coordinator forwards every tick; a query
+    is a user/cloud round trip, a request two wireless and two
+    infrastructure legs: 2NT + 2Q + 4R."""
+    return (
+        2 * len(cfg.sensors) * cfg.duration_ticks
+        + 2 * len(workload.queries)
+        + 4 * len(workload.requests)
+    )
+
+
+def flat_message_count(cfg, workload) -> int:
+    """The gateway polls every sensor of a requested type once per window
+    tick, the whole window even past the run's end, and each request is a
+    direct round trip: sum over queries of 2 * |polled| * (end - start + 1),
+    plus 2R."""
+    total = 2 * len(workload.requests)
+    for _, query in workload.queries:
+        types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
+        polled = sum(1 for s in cfg.sensors if s.sensor_type in types)
+        start, end = query.window
+        total += 2 * polled * (end - start + 1)
+    return total
 
 
 def flat_answers_oracle(

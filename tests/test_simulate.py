@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -31,11 +32,18 @@ from sensegrid import (
     run_scenario,
     serialize_trace,
 )
-from sensegrid import simulate
+from sensegrid import report, simulate
 from sensegrid.cloud import SERVICE_SENSOR_TYPE
-from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS
+from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
-from helpers import flat_answers_oracle, random_instance, resum_costs
+from helpers import (
+    flat_answers_oracle,
+    flat_message_count,
+    qcps_message_count,
+    random_instance,
+    resum_costs,
+    serialize_trace_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -466,3 +474,119 @@ def test_strategies_answer_like_the_oracle(scenario):
     qcps = run_scenario(cfg, workload, QCPS).answered
     assert qcps == run_scenario(cfg, workload, FLAT).answered
     assert qcps == flat_answers_oracle(cfg, workload)
+
+
+# sha256 of serialize_trace on the testbed with generate_workload(testbed, 20, 10),
+# recorded from the recursive writer before the row writer replaced it.
+TRACE_SHA256 = {
+    QCPS: "0d03d98b431f8ec9b1a592c0219e8609a90e20c0f5fcedcd7c49d7ec189f9b3e",
+    FLAT: "d42031bbe3d6b1e1453ae459973db7a2ce196ef5380f688d78cfe4ee0d488f91",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(testbed):
+    workload = generate_workload(testbed, 20, 10)
+    return workload, {s: run_scenario(testbed, workload, s) for s in (QCPS, FLAT)}
+
+
+def test_trace_goldens(golden_run):
+    _, traces = golden_run
+    for strategy, trace in traces.items():
+        text = serialize_trace(trace)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRACE_SHA256[strategy]
+
+
+def test_serialize_trace_matches_oracle_on_testbed(golden_run):
+    _, traces = golden_run
+    for trace in traces.values():
+        assert serialize_trace(trace) == serialize_trace_oracle(trace)
+
+
+def test_traces_match_serializer_and_count_oracles_over_random_scenarios():
+    rng = random.Random(90210)
+    for _ in range(12):
+        sensors = random_instance(rng, max_nodes=12)
+        cfg = dataclasses.replace(
+            builtin_testbed(),
+            sensors=tuple(sensors),
+            threshold=rng.uniform(10, 200),
+            duration_ticks=rng.randint(0, 10),
+            seed=rng.getrandbits(32),
+        )
+        n_queries = rng.randint(0, 4) if cfg.duration_ticks else 0
+        n_requests = rng.randint(0, 4) if cfg.duration_ticks and len(sensors) > 1 else 0
+        workload = generate_workload(cfg, n_queries, n_requests)
+        counts = {QCPS: qcps_message_count, FLAT: flat_message_count}
+        for strategy, count in counts.items():
+            trace = run_scenario(cfg, workload, strategy)
+            assert serialize_trace(trace) == serialize_trace_oracle(trace)
+            assert len(trace.messages) == count(cfg, workload)
+
+
+class _Name(str):
+    pass
+
+
+def _api_trace(*messages, strategy=QCPS, events=()):
+    return SimulationTrace(strategy, tuple(messages), tuple(events), None, ())
+
+
+def _sent(src="VS_1", dst="VS_3", distance=1.5, tick=0, msg_id=0):
+    return Message(msg_id, tick, src, dst, WIRELESS, "report", distance)
+
+
+SERIALIZE_CASES = {
+    "no_messages": _api_trace(),
+    "no_messages_with_events": _api_trace(events=(ComputeEvent(0, CLOUD_SITE, 2),)),
+    "no_grid_set": _api_trace(_sent(), _sent(msg_id=1, distance=0.0)),
+    "int_distance": _api_trace(_sent(distance=7)),
+    "negative_zero": _api_trace(_sent(distance=-0.0)),
+    "tiny_negative": _api_trace(_sent(distance=-1e-9)),
+    "non_finite": _api_trace(_sent(distance=float("inf")), _sent(distance=float("nan"))),
+    "bool_tick": _api_trace(_sent(tick=True), _sent(tick=False)),
+    "bool_distance": _api_trace(_sent(distance=True)),
+    "str_subclass_ids": _api_trace(
+        _sent(src=_Name("VS_1"), dst=_Name('q"')), strategy=_Name(FLAT)
+    ),
+    "json_escapes": _api_trace(
+        _sent(src='quote"d', dst="back\\slash"),
+        _sent(src="Zürich", dst="東京"),
+        _sent(src="tab\tnew\nline", dst="\x00"),
+    ),
+    "nested_values": _api_trace(
+        _sent(src=("a", 1), dst={"b": [2.5, None]}, distance=None),
+        _sent(src=[], dst={}),
+    ),
+    "one_full_chunk": _api_trace(
+        *(_sent(msg_id=i, tick=i // 16) for i in range(report._ROWS_PER_CHUNK))
+    ),
+    "chunk_and_one_row": _api_trace(
+        *(_sent(msg_id=i, distance=i / 7) for i in range(report._ROWS_PER_CHUNK + 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
+def test_serialize_trace_matches_oracle_for_api_traces(case):
+    trace = SERIALIZE_CASES[case]
+    assert serialize_trace(trace) == serialize_trace_oracle(trace)
+
+
+def test_message_counts_match_closed_forms_on_goldens(testbed, golden_run):
+    workload, traces = golden_run
+    assert len(traces[QCPS].messages) == qcps_message_count(testbed, workload) == 1620 + 1660
+    assert len(traces[FLAT].messages) == flat_message_count(testbed, workload) == 31060
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_message_counts_match_closed_forms_for_api_windows(testbed, case):
+    ticks, queries = WINDOW_CASES[case]
+    cfg = dataclasses.replace(testbed, duration_ticks=ticks)
+    workload = Workload(queries=queries.queries, requests=((0, "VS_1", "ES_2"),))
+    assert len(run_scenario(cfg, workload, QCPS).messages) == qcps_message_count(
+        cfg, workload
+    )
+    assert len(run_scenario(cfg, workload, FLAT).messages) == flat_message_count(
+        cfg, workload
+    )

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
 from sensegrid import (
+    ConfigError,
+    ReadingRanges,
     Service,
     Workload,
     WorkloadError,
@@ -136,3 +139,46 @@ def test_validate_workload_checks_ids_and_ticks(testbed):
         validate_workload(Workload(requests=((0, "VS_1", "nobody"),)), testbed)
     with pytest.raises(WorkloadError, match="outside the run"):
         validate_workload(Workload(requests=((100, "VS_1", "ES_2"),)), testbed)
+
+
+NAN = float("nan")
+
+# case: (field, value, the message after "ranges.<field>: ")
+BAD_RANGES = {
+    "bound_not_finite": ("temperature", (-5.0, float("inf")), "must be finite"),
+    "bound_nan": ("light", (NAN, 10.0), "must be finite"),
+    "bound_too_large": ("speed", (1.0, 10**400), "too large for a float"),
+    "low_above_high": ("humidity", (60.0, 40.0), "low bound exceeds high bound"),
+    "not_a_pair": ("speed", (5.0,), "expected a (low, high) pair"),
+    "speed_negative": ("speed", (-5.0, 5.0), "must be positive"),
+    "speed_zero": ("speed", (0.0, 5.0), "must be positive"),
+    "humidity_below_0": ("humidity", (-1.0, 50.0), "must lie in [0, 100]"),
+    "humidity_above_100": ("humidity", (10.0, 100.5), "must lie in [0, 100]"),
+    "light_negative": ("light", (-0.5, 10.0), "must be non-negative"),
+    "vehicle_count_negative": ("vehicle_count", (-1, 5), "must be non-negative"),
+    "vehicle_count_float": ("vehicle_count", (0, 5.5), "bounds must be integers"),
+    "vehicle_count_bool": ("vehicle_count", (False, 5), "bounds must be integers"),
+    "probability_above_1": ("crash_prob", 1.5, "must lie in [0, 1]"),
+    "probability_negative": ("distorted_prob", -0.1, "must lie in [0, 1]"),
+    "probability_nan": ("distorted_prob", NAN, "must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RANGES))
+def test_reading_ranges_rejected(case):
+    field, value, message = BAD_RANGES[case]
+    with pytest.raises(ConfigError, match=re.escape(f"ranges.{field}: {message}")):
+        ReadingRanges(**{field: value})
+
+
+def test_reading_ranges_accept_their_limits(testbed):
+    ranges = ReadingRanges(
+        speed=(0.5, 0.5),
+        humidity=(0.0, 100.0),
+        light=(0.0, 0.0),
+        distorted_prob=0.0,
+        crash_prob=1.0,
+        vehicle_count=(0, 0),
+    )
+    for sensor in testbed.sensors:
+        generate_reading(sensor, 3, testbed.seed, ranges)
