@@ -17,19 +17,25 @@ attributed to node sites.
 Within a tick, events are processed as: reports, then queries, then
 requests, each in input order. Traces are a pure function of
 (config, workload, strategy).
+
+Query answers are strategy-independent: under either strategy a query is
+answered from the readings its sensors sensed inside its window up to the
+query tick. So the strategy runners produce only messages, compute events
+and grids; `run_scenario` computes the answers once per run, on one answer
+path, and `compare_strategies` computes none, since costs depend only on
+messages and compute events.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cloud import (
     CentricQuery,
     Cloud,
     CongestionThresholds,
     EstimationReport,
-    Reading,
     SERVICE_SENSOR_TYPE,
     answer_centric_query,
 )
@@ -174,13 +180,18 @@ def route_user_query(
 ) -> tuple[list[Message], list[ComputeEvent], EstimationReport]:
     """The qcps path for a user query: two infrastructure messages framing
     one cloud computation per requested service."""
+    messages, events = _query_legs(query, tick, first_msg_id)
+    return messages, events, answer_centric_query(query, cloud, segment_length, thresholds)
+
+
+def _query_legs(
+    query: CentricQuery, tick: int, first_msg_id: int
+) -> tuple[list[Message], list[ComputeEvent]]:
     messages = [
         Message(first_msg_id, tick, USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query"),
         Message(first_msg_id + 1, tick, CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer"),
     ]
-    events = [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
-    report = answer_centric_query(query, cloud, segment_length, thresholds)
-    return messages, events, report
+    return messages, [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
 
 
 def _ticks_to_process(cfg: ScenarioConfig, workload: Workload) -> range | list[int]:
@@ -201,30 +212,44 @@ def _events_by_tick(workload: Workload):
     return queries, requests
 
 
-class _Readings:
-    """Every reading of one scenario, generated a (sensor type, tick) batch
-    at a time on first use and kept, so runs sharing it never regenerate one.
+def _answer_queries(
+    cfg: ScenarioConfig,
+    workload: Workload,
+    thresholds: CongestionThresholds,
+    ranges: ReadingRanges,
+) -> tuple[tuple[int, EstimationReport], ...]:
+    """Every query's (tick, answer), in tick order and input order within a tick.
 
-    A batch lists the type's sensors in config order.
+    Answers are strategy-independent, so this is the one answer path:
+    `run_scenario` calls it once per run and `compare_strategies` never
+    does. A query sees the readings sensed inside its window up to its tick.
+    One store serves every query: each (sensor type, tick) batch goes in the
+    first time a window clipped to min(end, tick, last sensed tick) covers
+    it. Queries are answered in tick order, so the store never holds a
+    reading sensed after the query's tick, and the estimators do not depend
+    on row order (fmean is fsum / n).
     """
-
-    def __init__(self, cfg: ScenarioConfig, ranges: ReadingRanges) -> None:
-        self._seed = cfg.seed
-        self._ranges = ranges
-        self._sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
-        for sensor in cfg.sensors:
-            self._sensors_of[sensor.sensor_type].append(sensor)
-        self._batches: dict[tuple[SensorType, int], list[Reading]] = {}
-
-    def batch(self, sensor_type: SensorType, tick: int) -> list[Reading]:
-        key = (sensor_type, tick)
-        readings = self._batches.get(key)
-        if readings is None:
-            readings = self._batches[key] = [
-                generate_reading(sensor, tick, self._seed, self._ranges)
-                for sensor in self._sensors_of[sensor_type]
-            ]
-        return readings
+    sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
+    for sensor in cfg.sensors:
+        sensors_of[sensor.sensor_type].append(sensor)
+    cloud = Cloud()
+    ingested: set[tuple[SensorType, int]] = set()
+    last_sensed = cfg.duration_ticks - 1
+    answered = []
+    for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
+        start, end = query.window
+        for service in query.requested_services:
+            sensor_type = SERVICE_SENSOR_TYPE[service]
+            db = cloud.db(sensor_type)
+            for window_tick in range(start, min(end, tick, last_sensed) + 1):
+                if (sensor_type, window_tick) not in ingested:
+                    ingested.add((sensor_type, window_tick))
+                    for sensor in sensors_of[sensor_type]:
+                        db.ingest(generate_reading(sensor, window_tick, cfg.seed, ranges))
+        answered.append(
+            (tick, answer_centric_query(query, cloud, cfg.segment_length, thresholds))
+        )
+    return tuple(answered)
 
 
 def run_scenario(
@@ -234,20 +259,17 @@ def run_scenario(
     thresholds: CongestionThresholds = CongestionThresholds(),
     ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> SimulationTrace:
-    """Execute one strategy over the workload and return the full trace."""
+    """Execute one strategy over the workload and return the full trace,
+    with the query answers, which both strategies share."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
     validate_workload(workload, cfg)
+    answered = _answer_queries(cfg, workload, thresholds, ranges)
     run = _run_qcps if strategy == QCPS else _run_flat
-    return run(cfg, workload, thresholds, _Readings(cfg, ranges))
+    return replace(run(cfg, workload), answered=answered)
 
 
-def _run_qcps(
-    cfg: ScenarioConfig,
-    workload: Workload,
-    thresholds: CongestionThresholds,
-    readings: _Readings,
-) -> SimulationTrace:
+def _run_qcps(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
     grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
     by_id = cfg.by_id()
     coordinator_of = {
@@ -258,10 +280,8 @@ def _run_qcps(
         coordinator = coordinator_of[sensor.node_id]
         hop = distance(sensor.position, by_id[coordinator].position)
         report_hops.append((sensor.node_id, coordinator, hop))
-    cloud = Cloud()
     log = _MessageLog()
     events: list[ComputeEvent] = []
-    answered: list[tuple[int, EstimationReport]] = []
     queries_at, requests_at = _events_by_tick(workload)
 
     for tick in _ticks_to_process(cfg, workload):
@@ -269,22 +289,10 @@ def _run_qcps(
             for node_id, coordinator, hop in report_hops:
                 log.send(tick, node_id, coordinator, WIRELESS, "report", hop)
                 log.send(tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "report")
-            for sensor_type in SensorType:
-                db = cloud.db(sensor_type)
-                for reading in readings.batch(sensor_type, tick):
-                    db.ingest(reading)
         for query in queries_at.get(tick, ()):
-            messages, query_events, report = route_user_query(
-                query,
-                cloud,
-                cfg.segment_length,
-                thresholds,
-                tick=tick,
-                first_msg_id=len(log.messages),
-            )
+            messages, query_events = _query_legs(query, tick, len(log.messages))
             log.messages.extend(messages)
             events.extend(query_events)
-            answered.append((tick, report))
         for requester, target in requests_at.get(tick, ()):
             log.messages.extend(
                 route_sensor_request(
@@ -299,7 +307,7 @@ def _run_qcps(
         messages=tuple(log.messages),
         compute_events=tuple(events),
         grid_set=grids,
-        answered=tuple(answered),
+        answered=(),
     )
 
 
@@ -311,12 +319,7 @@ def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
     )
 
 
-def _run_flat(
-    cfg: ScenarioConfig,
-    workload: Workload,
-    thresholds: CongestionThresholds,
-    readings: _Readings,
-) -> SimulationTrace:
+def _run_flat(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
     by_id = cfg.by_id()
     gateway_distance: dict[str, float] = {}
     if cfg.sensors:
@@ -324,13 +327,9 @@ def _run_flat(
         gateway_distance = {
             s.node_id: distance(gateway, s.position) for s in cfg.sensors
         }
-    cloud = Cloud()
-    ingested: set[tuple[SensorType, int]] = set()
     log = _MessageLog()
     events: list[ComputeEvent] = []
-    answered: list[tuple[int, EstimationReport]] = []
     queries_at, requests_at = _events_by_tick(workload)
-    last_sensed = cfg.duration_ticks - 1
 
     for tick in _ticks_to_process(cfg, workload):
         for query in queries_at.get(tick, ()):
@@ -349,21 +348,6 @@ def _run_flat(
                         tick, sensor.node_id, GATEWAY_SITE, WIRELESS, "response", hop
                     )
             events.extend(ComputeEvent(tick, GATEWAY_SITE) for _ in query.requested_services)
-            # The gateway aggregates what the polled sensors have sensed so far.
-            # One store serves every query: each (type, tick) batch goes in the
-            # first time a clipped window covers it. Queries arrive in tick
-            # order, so the store never holds a reading sensed after this tick,
-            # and the estimators do not depend on row order (fmean is fsum / n).
-            for sensor_type in relevant_types:
-                db = cloud.db(sensor_type)
-                for window_tick in range(start, min(end, tick, last_sensed) + 1):
-                    if (sensor_type, window_tick) not in ingested:
-                        ingested.add((sensor_type, window_tick))
-                        for reading in readings.batch(sensor_type, window_tick):
-                            db.ingest(reading)
-            answered.append(
-                (tick, answer_centric_query(query, cloud, cfg.segment_length, thresholds))
-            )
         for requester, target in requests_at.get(tick, ()):
             hop = distance(by_id[requester].position, by_id[target].position)
             log.send(tick, requester, target, WIRELESS, "request", hop)
@@ -375,7 +359,7 @@ def _run_flat(
         messages=tuple(log.messages),
         compute_events=tuple(events),
         grid_set=None,
-        answered=tuple(answered),
+        answered=(),
     )
 
 
@@ -423,23 +407,16 @@ COST_METRICS = (
 )
 
 
-def compare_strategies(
-    cfg: ScenarioConfig,
-    workload: Workload,
-    thresholds: CongestionThresholds = CongestionThresholds(),
-    ranges: ReadingRanges = DEFAULT_RANGES,
-) -> CostComparison:
+def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostComparison:
     """Run both strategies on the identical workload; delta is qcps minus flat,
     so a negative entry means the grid strategy reduced that metric.
 
-    Both strategies read one shared set of readings, so flat reuses every
-    reading qcps generated."""
+    Costs depend only on messages and compute events, and query answers are
+    strategy-independent, so this computes no answer and generates no
+    reading; `run_scenario` answers the queries once per run."""
     validate_workload(workload, cfg)
-    readings = _Readings(cfg, ranges)
-    qcps_trace = _run_qcps(cfg, workload, thresholds, readings)
-    flat_trace = _run_flat(cfg, workload, thresholds, readings)
-    qcps_report = cost_of(qcps_trace, cfg.cost_params)
-    flat_report = cost_of(flat_trace, cfg.cost_params)
+    qcps_report = cost_of(_run_qcps(cfg, workload), cfg.cost_params)
+    flat_report = cost_of(_run_flat(cfg, workload), cfg.cost_params)
     delta = {
         metric: getattr(qcps_report, metric) - getattr(flat_report, metric)
         for metric in COST_METRICS

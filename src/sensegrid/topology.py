@@ -108,6 +108,10 @@ class ScenarioConfig:
     coordinator_overrides: dict[SensorType, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("duration_ticks", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: expected an integer")
         _require_finite(self.threshold, "threshold")
         if not self.threshold > 0:
             raise ConfigError("threshold: must be positive")
@@ -191,13 +195,6 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     return float(value)
 
 
-def _require_int(obj: dict, key: str, path: str) -> int:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return value
-
-
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -233,7 +230,7 @@ def load_topology(config_text: str) -> ScenarioConfig:
         if not isinstance(node_id, str) or not node_id:
             raise ConfigError(f"{path}.id: expected a non-empty string")
         type_name = entry["type"]
-        if type_name not in _TYPE_BY_NAME:
+        if not isinstance(type_name, str) or type_name not in _TYPE_BY_NAME:
             raise ConfigError(
                 f"{path}.type: expected one of {sorted(_TYPE_BY_NAME)}, got {type_name!r}"
             )
@@ -255,9 +252,6 @@ def load_topology(config_text: str) -> ScenarioConfig:
     }
 
     segment_length = _require_number(raw, "segment_length", "config")
-    duration_ticks = _require_int(raw, "duration_ticks", "config")
-    seed = _require_int(raw, "seed", "config")
-
     overrides: dict[SensorType, str] = {}
     if "coordinator_overrides" in raw:
         raw_overrides = raw["coordinator_overrides"]
@@ -274,16 +268,16 @@ def load_topology(config_text: str) -> ScenarioConfig:
                 )
             overrides[_TYPE_BY_NAME[type_name]] = node_id
 
-    # the value types validate ranges, ids and overrides; their errors name
-    # the field relative to the config root
+    # the value types validate integer fields, ranges, ids and overrides;
+    # their errors name the field relative to the config root
     try:
         return ScenarioConfig(
             sensors=tuple(sensors),
             threshold=threshold,
             cost_params=CostParams(**costs),
             segment_length=segment_length,
-            duration_ticks=duration_ticks,
-            seed=seed,
+            duration_ticks=raw["duration_ticks"],
+            seed=raw["seed"],
             coordinator_overrides=overrides,
         )
     except ConfigError as exc:

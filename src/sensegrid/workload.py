@@ -175,6 +175,8 @@ def load_workload(text: str) -> Workload:
     for key in raw:
         if key not in ("queries", "requests"):
             raise WorkloadError(f"workload.{key}: unknown field")
+        if not isinstance(raw[key], list):
+            raise WorkloadError(f"workload.{key}: expected an array")
 
     queries = []
     for i, entry in enumerate(raw.get("queries", [])):
@@ -187,6 +189,8 @@ def load_workload(text: str) -> Workload:
         services = entry["services"]
         if not isinstance(services, list) or not services:
             raise WorkloadError(f"{path}.services: expected a non-empty array")
+        if not all(isinstance(name, str) for name in services):
+            raise WorkloadError(f"{path}.services: expected service names")
         queries.append(
             (
                 tick,
@@ -215,6 +219,11 @@ def load_workload(text: str) -> Workload:
     return Workload(queries=tuple(queries), requests=tuple(requests))
 
 
+def _require_tick(tick: object, what: str) -> None:
+    if isinstance(tick, bool) or not isinstance(tick, int):
+        raise WorkloadError(f"{what}: tick {tick!r} is not an integer")
+
+
 def validate_workload(workload: Workload, cfg: ScenarioConfig) -> None:
     """Check a workload against a scenario: known ids, ticks inside the run.
 
@@ -224,9 +233,11 @@ def validate_workload(workload: Workload, cfg: ScenarioConfig) -> None:
     last_tick = max(0, cfg.duration_ticks - 1)
     known = {s.node_id for s in cfg.sensors}
     for tick, query in workload.queries:
+        _require_tick(tick, f"query {query.query_id}")
         if not 0 <= tick <= last_tick:
             raise WorkloadError(f"query {query.query_id}: tick {tick} outside the run")
     for tick, requester, target in workload.requests:
+        _require_tick(tick, "request")
         if not 0 <= tick <= last_tick:
             raise WorkloadError(f"request at tick {tick}: outside the run")
         for node_id in (requester, target):

@@ -13,6 +13,7 @@ the implementation so exact-tie cases stay exact.
 from __future__ import annotations
 
 import math
+import os
 import random
 
 from sensegrid import (
@@ -190,3 +191,18 @@ def random_instance(rng: random.Random, max_nodes: int = 50) -> list[SensorNode]
             )
         sensors.append(SensorNode(f"N_{i:03d}", rng.choice(types), position))
     return sensors
+
+
+def assert_same_text(actual: str, expected: str, context: int = 100) -> None:
+    """Exact equality for long texts. A mismatch reports the first differing
+    offset with `context` characters on each side, not a diff of both whole
+    strings, which takes pytest seconds on a multi-megabyte trace."""
+    if actual == expected:
+        return
+    at = len(os.path.commonprefix([actual, expected]))
+    lo, hi = max(0, at - context), at + context
+    raise AssertionError(
+        f"texts differ at offset {at} (lengths {len(actual)} and {len(expected)})\n"
+        f"actual:   {actual[lo:hi]!r}\n"
+        f"expected: {expected[lo:hi]!r}"
+    )

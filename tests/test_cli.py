@@ -71,6 +71,38 @@ def test_run_rejects_an_infinite_threshold(tmp_path):
     assert not out.exists()
 
 
+def _testbed_with_sensor_type(sensor_type):
+    raw = json.loads(dump_topology(builtin_testbed()))
+    raw["sensors"][0]["type"] = sensor_type
+    return raw
+
+
+MALFORMED_FILES = {
+    "workload_queries_not_an_array": (
+        ("compare", "--testbed", "--workload"), {"queries": 5}, "workload.queries: "
+    ),
+    "workload_service_not_a_name": (
+        ("compare", "--testbed", "--workload"),
+        {"queries": [{"tick": 0, "services": [{"a": 1}]}]},
+        "workload.queries[0].services: ",
+    ),
+    "config_sensor_type_not_a_name": (
+        ("form-grids", "--topology"), _testbed_with_sensor_type({}), "config.sensors[0].type: "
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, case):
+    args, payload, field = MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    result = run_cli(*args, str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {field}")
+    assert "Traceback" not in result.stderr
+
+
 def test_run_is_byte_identical(tmp_path):
     args = (
         "run", "--testbed", "--strategy", "qcps",

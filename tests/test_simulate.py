@@ -37,6 +37,7 @@ from sensegrid.cloud import SERVICE_SENSOR_TYPE
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
 from helpers import (
+    assert_same_text,
     flat_answers_oracle,
     flat_message_count,
     qcps_message_count,
@@ -226,6 +227,26 @@ def test_compare_single_request_anchor(testbed):
     assert comparison.flat.total_wireless_distance == pytest.approx(204.72, abs=0.01)
 
 
+def test_compare_costs_match_run_scenario_over_random_scenarios():
+    rng = random.Random(27182)
+    for _ in range(12):
+        sensors = random_instance(rng, max_nodes=12)
+        cfg = dataclasses.replace(
+            builtin_testbed(),
+            sensors=tuple(sensors),
+            threshold=rng.uniform(10, 200),
+            duration_ticks=rng.randint(0, 10),
+            seed=rng.getrandbits(32),
+        )
+        n_queries = rng.randint(0, 4) if cfg.duration_ticks else 0
+        n_requests = rng.randint(0, 4) if cfg.duration_ticks and len(sensors) > 1 else 0
+        workload = generate_workload(cfg, n_queries, n_requests)
+        comparison = compare_strategies(cfg, workload)
+        for strategy in (QCPS, FLAT):
+            expected = cost_of(run_scenario(cfg, workload, strategy), cfg.cost_params)
+            assert getattr(comparison, strategy) == expected
+
+
 def test_flat_costs_ignore_threshold(testbed):
     workload = generate_workload(testbed, 4, 4)
     baseline = cost_of(run_scenario(testbed, workload, FLAT), testbed.cost_params)
@@ -409,12 +430,15 @@ def generated(monkeypatch):
 
 
 def test_compare_generates_each_reading_once(testbed, generated):
+    # costs depend only on messages and compute events, so compare answers
+    # no query and generates no reading at all
     cfg = dataclasses.replace(testbed, duration_ticks=30)
     compare_strategies(cfg, generate_workload(cfg, 6, 4))
-    assert len(generated) == len(set(generated)) == len(cfg.sensors) * cfg.duration_ticks
+    assert generated == []
 
 
-def test_flat_generates_only_its_clipped_windows(testbed, generated):
+@pytest.mark.parametrize("strategy", [FLAT, QCPS])
+def test_flat_generates_only_its_clipped_windows(testbed, generated, strategy):
     cfg = dataclasses.replace(testbed, duration_ticks=12)
     workload = _queries(
         (4, (SPEED,), (2, 6)),
@@ -422,7 +446,7 @@ def test_flat_generates_only_its_clipped_windows(testbed, generated):
         (9, (SPEED, CONGESTION), (0, 3)),
         (11, (ENV,), (5, 8)),
     )
-    run_scenario(cfg, workload, FLAT)
+    run_scenario(cfg, workload, strategy)
     expected = set()
     for tick, query in workload.queries:
         types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
@@ -500,7 +524,7 @@ def test_trace_goldens(golden_run):
 def test_serialize_trace_matches_oracle_on_testbed(golden_run):
     _, traces = golden_run
     for trace in traces.values():
-        assert serialize_trace(trace) == serialize_trace_oracle(trace)
+        assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
 
 
 def test_traces_match_serializer_and_count_oracles_over_random_scenarios():
@@ -520,7 +544,7 @@ def test_traces_match_serializer_and_count_oracles_over_random_scenarios():
         counts = {QCPS: qcps_message_count, FLAT: flat_message_count}
         for strategy, count in counts.items():
             trace = run_scenario(cfg, workload, strategy)
-            assert serialize_trace(trace) == serialize_trace_oracle(trace)
+            assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
             assert len(trace.messages) == count(cfg, workload)
 
 
@@ -570,7 +594,18 @@ SERIALIZE_CASES = {
 @pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
 def test_serialize_trace_matches_oracle_for_api_traces(case):
     trace = SERIALIZE_CASES[case]
-    assert serialize_trace(trace) == serialize_trace_oracle(trace)
+    assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
+
+
+@pytest.mark.parametrize(
+    "actual, expected, offset",
+    [("abcX" + "d" * 300, "abcY" + "d" * 300, 3), ("abc", "abcd", 3), ("", "a", 0)],
+)
+def test_assert_same_text_reports_the_first_difference(actual, expected, offset):
+    assert_same_text(expected, expected)
+    with pytest.raises(AssertionError, match=rf"^texts differ at offset {offset} ") as info:
+        assert_same_text(actual, expected)
+    assert len(str(info.value)) < 600
 
 
 def test_message_counts_match_closed_forms_on_goldens(testbed, golden_run):

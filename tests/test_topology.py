@@ -166,10 +166,11 @@ def test_load_topology_missing_field():
 
 
 def test_load_topology_bad_sensor_type():
-    raw = _testbed_json()
-    raw["sensors"][0]["type"] = "sonar"
-    with pytest.raises(ConfigError, match=r"sensors\[0\].type"):
-        load_topology(json.dumps(raw))
+    for value in ("sonar", {}, [], ["speed"]):
+        raw = _testbed_json()
+        raw["sensors"][0]["type"] = value
+        with pytest.raises(ConfigError, match=r"^config\.sensors\[0\]\.type: "):
+            load_topology(json.dumps(raw))
 
 
 def test_load_topology_rejects_non_json():
@@ -204,6 +205,25 @@ def test_sensor_id_may_not_alias_a_reserved_site(reserved):
     sensors = (SensorNode(reserved, SensorType.SPEED, Position(0, 0, 0)),)
     with pytest.raises(ConfigError, match=r"^sensors\[0\]\.id: .*reserved"):
         ScenarioConfig(sensors=sensors, threshold=10)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration_ticks", "5"),
+        ("duration_ticks", 2.5),
+        ("duration_ticks", True),
+        ("seed", "7"),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_integer_fields_must_be_integers(field, value):
+    sensors = builtin_testbed().sensors
+    with pytest.raises(ConfigError, match=rf"^{field}: expected an integer$"):
+        ScenarioConfig(sensors=sensors, threshold=10, **{field: value})
+    with pytest.raises(ConfigError, match=rf"^config\.{field}: expected an integer$"):
+        load_topology(json.dumps(_testbed_json(**{field: value})))
 
 
 def test_scenario_config_rejects_negative_ticks_and_costs():

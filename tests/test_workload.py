@@ -5,6 +5,7 @@ import re
 import pytest
 
 from sensegrid import (
+    CentricQuery,
     ConfigError,
     ReadingRanges,
     Service,
@@ -131,6 +132,15 @@ def test_load_workload_rejects_bad_shapes():
         load_workload(json.dumps({"queries": [{"tick": 0, "services": []}]}))
     with pytest.raises(WorkloadError, match="tick"):
         load_workload(json.dumps({"queries": [{"tick": -1, "services": ["environment"]}]}))
+    for key in ("queries", "requests"):
+        for value in (5, None, "ab", {"tick": 0}):
+            with pytest.raises(WorkloadError, match=rf"^workload\.{key}: expected an array$"):
+                load_workload(json.dumps({key: value}))
+    for name in ({"a": 1}, ["environment"], 3):
+        with pytest.raises(
+            WorkloadError, match=r"^workload\.queries\[0\]\.services: expected service names$"
+        ):
+            load_workload(json.dumps({"queries": [{"tick": 0, "services": [name]}]}))
 
 
 def test_validate_workload_checks_ids_and_ticks(testbed):
@@ -139,6 +149,12 @@ def test_validate_workload_checks_ids_and_ticks(testbed):
         validate_workload(Workload(requests=((0, "VS_1", "nobody"),)), testbed)
     with pytest.raises(WorkloadError, match="outside the run"):
         validate_workload(Workload(requests=((100, "VS_1", "ES_2"),)), testbed)
+    query = CentricQuery("Q1", (Service.ENVIRONMENT,), (0, 0))
+    for tick in (0.5, 1.0, True, "1"):
+        with pytest.raises(WorkloadError, match=r"^query Q1: tick .* is not an integer$"):
+            validate_workload(Workload(queries=((tick, query),)), testbed)
+        with pytest.raises(WorkloadError, match=r"^request: tick .* is not an integer$"):
+            validate_workload(Workload(requests=((tick, "VS_1", "ES_2"),)), testbed)
 
 
 NAN = float("nan")
