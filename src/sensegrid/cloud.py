@@ -184,9 +184,21 @@ class CentricQuery:
     def __post_init__(self) -> None:
         if not self.requested_services:
             raise QueryError(f"query {self.query_id}: requested_services must be non-empty")
+        for service in self.requested_services:
+            if not isinstance(service, Service):
+                raise QueryError(
+                    f"query {self.query_id}: requested_services: {service!r} is not a Service"
+                )
         if len(set(self.requested_services)) != len(self.requested_services):
             raise QueryError(f"query {self.query_id}: duplicate service requested")
-        start, end = self.window
+        window = self.window
+        if not (
+            isinstance(window, tuple)
+            and len(window) == 2
+            and all(isinstance(t, int) and not isinstance(t, bool) for t in window)
+        ):
+            raise QueryError(f"query {self.query_id}: window must be a pair of integer ticks")
+        start, end = window
         if start < 0 or start > end:
             raise QueryError(f"query {self.query_id}: window must satisfy 0 <= from <= to")
 

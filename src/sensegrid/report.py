@@ -105,6 +105,12 @@ def estimation_report_dict(report: EstimationReport) -> dict:
     return {"query_id": report.query_id, "sections": sections}
 
 
+def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[dict]:
+    """Answered reports as the trace and the run report write them: each
+    report's dict view plus the tick it was answered at."""
+    return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
+
+
 # One message as ``_write_canonical`` writes it inside the trace's message
 # list (depth 2): keys sorted, one value per slot.
 _MESSAGE_ROW = (
@@ -182,11 +188,7 @@ def serialize_trace(trace: SimulationTrace) -> str:
     else:
         out.write("[]")
     out.write(',\n  "reports": ')
-    _write_canonical(
-        [dict(estimation_report_dict(r), tick=tick) for tick, r in trace.answered],
-        out,
-        1,
-    )
+    _write_canonical(_answered_list(trace.answered), out, 1)
     out.write(',\n  "strategy": ')
     _write_canonical(trace.strategy, out, 1)
     out.write("\n}\n")
@@ -203,9 +205,7 @@ def build_run_report(
         "config": config_payload(cfg),
         "grids": gridset_list(grids),
         "costs": {strategy: cost_dict(r) for strategy, r in costs.items()},
-        "reports": [
-            dict(estimation_report_dict(r), tick=tick) for tick, r in answered
-        ],
+        "reports": _answered_list(answered),
         "version": TOOL_VERSION,
         "seed": cfg.seed,
     }
@@ -241,11 +241,15 @@ def comparison_dict(comparison: CostComparison) -> dict:
     }
 
 
+def _effect(delta: float) -> str:
+    """What the grid strategy did to a metric, from its qcps-minus-flat delta."""
+    return "Reduced" if delta < 0 else ("Increased" if delta > 0 else "Unchanged")
+
+
 def comparison_csv(comparison: CostComparison) -> str:
     lines = ["metric,qcps,flat,delta,effect"]
     for metric in COST_METRICS:
         delta = comparison.delta[metric]
-        effect = "Reduced" if delta < 0 else ("Increased" if delta > 0 else "Unchanged")
         lines.append(
             ",".join(
                 [
@@ -253,7 +257,7 @@ def comparison_csv(comparison: CostComparison) -> str:
                     _fmt(getattr(comparison.qcps, metric)),
                     _fmt(getattr(comparison.flat, metric)),
                     _fmt(delta),
-                    effect,
+                    _effect(delta),
                 ]
             )
         )
@@ -267,11 +271,10 @@ def comparison_table(comparison: CostComparison) -> str:
     ]
     for metric in COST_METRICS:
         delta = comparison.delta[metric]
-        effect = "Reduced" if delta < 0 else ("Increased" if delta > 0 else "Unchanged")
         lines.append(
             f"{metric:<{width}}  "
             f"{_fmt(getattr(comparison.qcps, metric)):>18}  "
             f"{_fmt(getattr(comparison.flat, metric)):>18}  "
-            f"{_fmt(delta):>18}  {effect}"
+            f"{_fmt(delta):>18}  {_effect(delta)}"
         )
     return "\n".join(lines) + "\n"

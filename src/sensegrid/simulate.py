@@ -15,21 +15,28 @@ requests travel as direct radio round trips, and all computation is
 attributed to node sites.
 
 Within a tick, events are processed as: reports, then queries, then
-requests, each in input order. Traces are a pure function of
-(config, workload, strategy).
+requests, each in input order. Each strategy is one generator of
+transmission rows (tick, src, dst, medium, purpose, wireless distance) in
+that order, and a run's compute events fill as its rows are consumed.
+Traces are a pure function of (config, workload, strategy).
+
+Everything else is a pass over that one stream. `run_scenario` numbers the
+rows into the trace's messages, so a message's `msg_id` is its emission
+index. Costs are counts and sums, computed in one pass with constant
+state: `cost_of` prices a trace's messages, and `compare_strategies`
+prices the rows as they are generated, building no message and no trace.
 
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
-query tick. So the strategy runners produce only messages, compute events
-and grids; `run_scenario` computes the answers once per run, on one answer
-path, and `compare_strategies` computes none, since costs depend only on
-messages and compute events.
+query tick. So `run_scenario` computes the answers once per run, on one
+answer path, and `compare_strategies` computes none.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .cloud import (
     CentricQuery,
@@ -109,28 +116,6 @@ class CostComparison:
     delta: dict[str, float] = field(default_factory=dict)
 
 
-class _MessageLog:
-    """Appends messages with sequential ids on a shared counter."""
-
-    def __init__(self) -> None:
-        self.messages: list[Message] = []
-
-    def send(
-        self, tick: int, src: str, dst: str, medium: str, purpose: str, dist: float = 0.0
-    ) -> None:
-        self.messages.append(
-            Message(
-                msg_id=len(self.messages),
-                tick=tick,
-                src=src,
-                dst=dst,
-                medium=medium,
-                purpose=purpose,
-                wireless_distance=dist if medium == WIRELESS else 0.0,
-            )
-        )
-
-
 def route_sensor_request(
     requester: str,
     target: str,
@@ -158,16 +143,15 @@ def route_sensor_request(
     hop = distance(
         sensors_by_id[requester].position, sensors_by_id[coordinator].position
     )
-    legs = (
-        (requester, coordinator, WIRELESS, "request", hop),
-        (coordinator, CLOUD_SITE, INFRASTRUCTURE, "request", 0.0),
-        (CLOUD_SITE, coordinator, INFRASTRUCTURE, "response", 0.0),
-        (coordinator, requester, WIRELESS, "response", hop),
-    )
-    return [
-        Message(first_msg_id + i, tick, src, dst, medium, purpose, dist)
-        for i, (src, dst, medium, purpose, dist) in enumerate(legs)
-    ]
+    legs = _request_legs(tick, requester, coordinator, hop)
+    return [Message(first_msg_id + i, *row) for i, row in enumerate(legs)]
+
+
+def _request_legs(tick: int, requester: str, coordinator: str, hop: float):
+    yield tick, requester, coordinator, WIRELESS, "request", hop
+    yield tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "request", 0.0
+    yield tick, CLOUD_SITE, coordinator, INFRASTRUCTURE, "response", 0.0
+    yield tick, coordinator, requester, WIRELESS, "response", hop
 
 
 def route_user_query(
@@ -180,18 +164,16 @@ def route_user_query(
 ) -> tuple[list[Message], list[ComputeEvent], EstimationReport]:
     """The qcps path for a user query: two infrastructure messages framing
     one cloud computation per requested service."""
-    messages, events = _query_legs(query, tick, first_msg_id)
+    events: list[ComputeEvent] = []
+    legs = _query_legs(query, tick, events)
+    messages = [Message(first_msg_id + i, *row) for i, row in enumerate(legs)]
     return messages, events, answer_centric_query(query, cloud, segment_length, thresholds)
 
 
-def _query_legs(
-    query: CentricQuery, tick: int, first_msg_id: int
-) -> tuple[list[Message], list[ComputeEvent]]:
-    messages = [
-        Message(first_msg_id, tick, USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query"),
-        Message(first_msg_id + 1, tick, CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer"),
-    ]
-    return messages, [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
+def _query_legs(query: CentricQuery, tick: int, events: list[ComputeEvent]):
+    yield tick, USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0
+    yield tick, CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0
+    events.extend(ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services)
 
 
 def _ticks_to_process(cfg: ScenarioConfig, workload: Workload) -> range | list[int]:
@@ -265,50 +247,47 @@ def run_scenario(
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
     validate_workload(workload, cfg)
     answered = _answer_queries(cfg, workload, thresholds, ranges)
-    run = _run_qcps if strategy == QCPS else _run_flat
-    return replace(run(cfg, workload), answered=answered)
+    grid_set, rows, events = _run(cfg, workload, strategy)
+    messages = tuple(Message(i, *row) for i, row in enumerate(rows))
+    return SimulationTrace(strategy, messages, tuple(events), grid_set, answered)
 
 
-def _run_qcps(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
-    grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
-    by_id = cfg.by_id()
-    coordinator_of = {
-        member: grid.coordinator for grid in grids.grids for member in grid.members
-    }
-    report_hops = []
-    for sensor in cfg.sensors:
-        coordinator = coordinator_of[sensor.node_id]
-        hop = distance(sensor.position, by_id[coordinator].position)
-        report_hops.append((sensor.node_id, coordinator, hop))
-    log = _MessageLog()
+def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
+    """(grid set, transmission rows, compute events) of one strategy.
+
+    The rows are a generator of (tick, src, dst, medium, purpose, distance)
+    in emission order; infrastructure rows carry 0.0. The event list fills
+    as the rows are consumed, so read it only after the last row.
+    """
     events: list[ComputeEvent] = []
+    if strategy == QCPS:
+        grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+        return grids, _qcps_legs(cfg, workload, grids, events), events
+    return None, _flat_legs(cfg, workload, events), events
+
+
+def _qcps_legs(
+    cfg: ScenarioConfig, workload: Workload, grids: GridSet, events: list[ComputeEvent]
+):
+    by_id = cfg.by_id()
+    uplink = {}  # node id -> (its coordinator, radio distance to it)
+    for sensor in cfg.sensors:
+        coordinator = grids.coordinator_of(sensor.node_id)
+        uplink[sensor.node_id] = (
+            coordinator, distance(sensor.position, by_id[coordinator].position)
+        )
     queries_at, requests_at = _events_by_tick(workload)
 
     for tick in _ticks_to_process(cfg, workload):
         if tick < cfg.duration_ticks:
-            for node_id, coordinator, hop in report_hops:
-                log.send(tick, node_id, coordinator, WIRELESS, "report", hop)
-                log.send(tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "report")
+            for node_id, (coordinator, hop) in uplink.items():
+                yield tick, node_id, coordinator, WIRELESS, "report", hop
+                yield tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "report", 0.0
         for query in queries_at.get(tick, ()):
-            messages, query_events = _query_legs(query, tick, len(log.messages))
-            log.messages.extend(messages)
-            events.extend(query_events)
-        for requester, target in requests_at.get(tick, ()):
-            log.messages.extend(
-                route_sensor_request(
-                    requester, target, grids, by_id,
-                    tick=tick, first_msg_id=len(log.messages),
-                )
-            )
+            yield from _query_legs(query, tick, events)
+        for requester, _target in requests_at.get(tick, ()):
+            yield from _request_legs(tick, requester, *uplink[requester])
             events.append(ComputeEvent(tick, CLOUD_SITE))
-
-    return SimulationTrace(
-        strategy=QCPS,
-        messages=tuple(log.messages),
-        compute_events=tuple(events),
-        grid_set=grids,
-        answered=(),
-    )
 
 
 def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
@@ -319,7 +298,7 @@ def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
     )
 
 
-def _run_flat(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
+def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEvent]):
     by_id = cfg.by_id()
     gateway_distance: dict[str, float] = {}
     if cfg.sensors:
@@ -327,8 +306,6 @@ def _run_flat(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
         gateway_distance = {
             s.node_id: distance(gateway, s.position) for s in cfg.sensors
         }
-    log = _MessageLog()
-    events: list[ComputeEvent] = []
     queries_at, requests_at = _events_by_tick(workload)
 
     for tick in _ticks_to_process(cfg, workload):
@@ -336,47 +313,47 @@ def _run_flat(cfg: ScenarioConfig, workload: Workload) -> SimulationTrace:
             relevant_types = [
                 SERVICE_SENSOR_TYPE[service] for service in query.requested_services
             ]
-            polled = [s for s in cfg.sensors if s.sensor_type in relevant_types]
+            polled = [s.node_id for s in cfg.sensors if s.sensor_type in relevant_types]
             start, end = query.window
-            for window_tick in range(start, end + 1):
-                for sensor in polled:
-                    hop = gateway_distance[sensor.node_id]
-                    log.send(
-                        tick, GATEWAY_SITE, sensor.node_id, WIRELESS, "request", hop
-                    )
-                    log.send(
-                        tick, sensor.node_id, GATEWAY_SITE, WIRELESS, "response", hop
-                    )
+            for _window_tick in range(start, end + 1):
+                for node_id in polled:
+                    hop = gateway_distance[node_id]
+                    yield tick, GATEWAY_SITE, node_id, WIRELESS, "request", hop
+                    yield tick, node_id, GATEWAY_SITE, WIRELESS, "response", hop
             events.extend(ComputeEvent(tick, GATEWAY_SITE) for _ in query.requested_services)
         for requester, target in requests_at.get(tick, ()):
             hop = distance(by_id[requester].position, by_id[target].position)
-            log.send(tick, requester, target, WIRELESS, "request", hop)
-            log.send(tick, target, requester, WIRELESS, "response", hop)
+            yield tick, requester, target, WIRELESS, "request", hop
+            yield tick, target, requester, WIRELESS, "response", hop
             events.append(ComputeEvent(tick, target))
-
-    return SimulationTrace(
-        strategy=FLAT,
-        messages=tuple(log.messages),
-        compute_events=tuple(events),
-        grid_set=None,
-        answered=(),
-    )
 
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
+    transmissions = ((m.medium, m.wireless_distance) for m in trace.messages)
+    return _sum_costs(trace.strategy, transmissions, trace.compute_events, params)
+
+
+def _sum_costs(
+    strategy: str,
+    transmissions: Iterable[tuple[str, float]],
+    compute_events: Iterable[ComputeEvent],
+    params: CostParams,
+) -> CostReport:
+    """One pass over (medium, distance) pairs in emission order, then the
+    compute events; both strategies and both callers price runs here."""
     total_wireless = 0.0
     wireless_count = 0
     infra_count = 0
-    for message in trace.messages:
-        if message.medium == WIRELESS:
+    for medium, dist in transmissions:
+        if medium == WIRELESS:
             wireless_count += 1
-            total_wireless += message.wireless_distance
+            total_wireless += dist
         else:
             infra_count += 1
     cloud_ops = 0
     node_ops = 0
-    for event in trace.compute_events:
+    for event in compute_events:
         if event.site == CLOUD_SITE:
             cloud_ops += event.op_count
         else:
@@ -387,7 +364,7 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
         + params.computation_op_cost * (cloud_ops + node_ops)
     )
     return CostReport(
-        strategy=trace.strategy,
+        strategy=strategy,
         total_wireless_distance=total_wireless,
         wireless_message_count=wireless_count,
         infra_message_count=infra_count,
@@ -395,7 +372,6 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
         node_op_count=node_ops,
         monetized_total=monetized,
     )
-
 
 COST_METRICS = (
     "total_wireless_distance",
@@ -411,12 +387,17 @@ def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostCompariso
     """Run both strategies on the identical workload; delta is qcps minus flat,
     so a negative entry means the grid strategy reduced that metric.
 
-    Costs depend only on messages and compute events, and query answers are
-    strategy-independent, so this computes no answer and generates no
-    reading; `run_scenario` answers the queries once per run."""
+    Costs are one pass over each strategy's transmission rows and compute
+    events, so this builds no message and no trace. Query answers are
+    strategy-independent and do not enter the costs, so it computes none;
+    `run_scenario` answers the queries once per run."""
     validate_workload(workload, cfg)
-    qcps_report = cost_of(_run_qcps(cfg, workload), cfg.cost_params)
-    flat_report = cost_of(_run_flat(cfg, workload), cfg.cost_params)
+    reports = {}
+    for strategy in STRATEGIES:
+        _grid_set, rows, events = _run(cfg, workload, strategy)
+        transmissions = ((medium, dist) for _, _, _, medium, _, dist in rows)
+        reports[strategy] = _sum_costs(strategy, transmissions, events, cfg.cost_params)
+    qcps_report, flat_report = reports[QCPS], reports[FLAT]
     delta = {
         metric: getattr(qcps_report, metric) - getattr(flat_report, metric)
         for metric in COST_METRICS

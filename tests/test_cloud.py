@@ -199,6 +199,15 @@ def test_query_validation():
         CentricQuery("Q1", (Service.ENVIRONMENT,), (4, 2))
     with pytest.raises(QueryError):
         CentricQuery("Q1", (Service.ENVIRONMENT, Service.ENVIRONMENT), (0, 2))
+    # a service name is not a service
+    with pytest.raises(QueryError, match="requested_services"):
+        CentricQuery("Q1", ("environment",), (0, 1))
+    with pytest.raises(QueryError, match="requested_services"):
+        CentricQuery("Q1", (Service.ENVIRONMENT, None), (0, 1))
+    # the window is exactly two non-bool integer ticks
+    for window in ((0, 1.5), (False, True), (0, True), (0, 1, 2), (0,), [0, 1], "01"):
+        with pytest.raises(QueryError, match="window"):
+            CentricQuery("Q1", (Service.ENVIRONMENT,), window)
 
 
 def test_payload_validation():

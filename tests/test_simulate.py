@@ -131,6 +131,19 @@ def test_route_sensor_request_unknown_id(testbed, testbed_grids):
         route_sensor_request("VS_1", "ghost", testbed_grids, testbed.by_id())
 
 
+def test_route_helpers_number_legs_from_first_msg_id(testbed, testbed_grids):
+    legs = route_sensor_request(
+        "VS_1", "ES_2", testbed_grids, testbed.by_id(), tick=3, first_msg_id=7
+    )
+    assert [m.msg_id for m in legs] == [7, 8, 9, 10]
+    assert {m.tick for m in legs} == {3}
+    messages, _, _ = route_user_query(
+        FOUR_SERVICE_QUERY, Cloud(), 600.0, tick=3, first_msg_id=7
+    )
+    assert [m.msg_id for m in messages] == [7, 8]
+    assert {m.tick for m in messages} == {3}
+
+
 def test_flat_request_is_direct_round_trip(testbed):
     cfg = dataclasses.replace(testbed, duration_ticks=0)
     workload = Workload(requests=((0, "VS_1", "ES_2"),))
@@ -245,6 +258,31 @@ def test_compare_costs_match_run_scenario_over_random_scenarios():
         for strategy in (QCPS, FLAT):
             expected = cost_of(run_scenario(cfg, workload, strategy), cfg.cost_params)
             assert getattr(comparison, strategy) == expected
+
+
+@pytest.fixture
+def built_messages(monkeypatch):
+    """How many Message objects the simulator constructs."""
+    built = []
+    real = simulate.Message
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "Message", counting)
+    return built
+
+
+def test_compare_builds_no_message(testbed, built_messages):
+    # costs are one pass over the transmission rows, so compare never
+    # materializes a message or a trace
+    workload = generate_workload(testbed, 20, 10)
+    compare_strategies(testbed, workload)
+    assert built_messages == []
+    # the counter sees every message a trace holds
+    trace = run_scenario(testbed, workload, FLAT)
+    assert len(built_messages) == len(trace.messages) > 0
 
 
 def test_flat_costs_ignore_threshold(testbed):
