@@ -17,7 +17,7 @@ from .report import (
     comparison_table,
     cost_csv,
 )
-from .simulate import STRATEGIES, compare_strategies, cost_of, run_scenario
+from .simulate import STRATEGIES, _answer_queries, _price, compare_strategies
 from .topology import ScenarioConfig, builtin_testbed, load_topology
 from .workload import Workload, generate_workload, load_workload
 
@@ -107,15 +107,15 @@ def cmd_form_grids(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     workload = _load_workload(args, cfg)
-    trace = run_scenario(cfg, workload, args.strategy)
-    costs = {args.strategy: cost_of(trace, cfg.cost_params)}
-    grids = trace.grid_set
+    grids, cost = _price(cfg, workload, args.strategy)
+    costs = {args.strategy: cost}
+    if args.format == "csv":  # costs only: no answers, and flat forms no grids
+        _emit(cost_csv(costs), args.out)
+        return 0
     if grids is None:  # flat forms no grids, but its report lists them
         grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
-    if args.format == "csv":
-        _emit(cost_csv(costs), args.out)
-    else:
-        _emit(canonical_json(build_run_report(cfg, grids, costs, trace.answered)), args.out)
+    answered = _answer_queries(cfg, workload)
+    _emit(canonical_json(build_run_report(cfg, grids, costs, answered)), args.out)
     return 0
 
 

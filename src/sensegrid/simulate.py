@@ -20,11 +20,12 @@ transmission rows (tick, src, dst, medium, purpose, wireless distance) in
 that order, and a run's compute events fill as its rows are consumed.
 Traces are a pure function of (config, workload, strategy).
 
-Everything else is a pass over that one stream. `run_scenario` numbers the
-rows into the trace's messages, so a message's `msg_id` is its emission
-index. Costs are counts and sums, computed in one pass with constant
-state: `cost_of` prices a trace's messages, and `compare_strategies`
-prices the rows as they are generated, building no message and no trace.
+`_run` hands out that stream and is the one place that checks the strategy
+and the workload; everything else is a pass over it. `run_scenario` numbers
+the rows into the trace's messages, so `msg_id` is the emission index.
+Costs are counts and sums, one pass with constant state: `cost_of` prices
+a trace's messages, and `_price`, shared by `compare_strategies` and the
+CLI's `run`, prices the rows as they are generated, building no trace.
 
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
@@ -197,14 +198,14 @@ def _events_by_tick(workload: Workload):
 def _answer_queries(
     cfg: ScenarioConfig,
     workload: Workload,
-    thresholds: CongestionThresholds,
-    ranges: ReadingRanges,
+    thresholds: CongestionThresholds = CongestionThresholds(),
+    ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> tuple[tuple[int, EstimationReport], ...]:
     """Every query's (tick, answer), in tick order and input order within a tick.
 
     Answers are strategy-independent, so this is the one answer path:
-    `run_scenario` calls it once per run and `compare_strategies` never
-    does. A query sees the readings sensed inside its window up to its tick.
+    `run_scenario` and the CLI's `run` call it once per run, and
+    `compare_strategies` never does. A query sees the readings sensed inside its window up to its tick.
     One store serves every query: each (sensor type, tick) batch goes in the
     first time a window clipped to min(end, tick, last sensed tick) covers
     it. Queries are answered in tick order, so the store never holds a
@@ -243,11 +244,8 @@ def run_scenario(
 ) -> SimulationTrace:
     """Execute one strategy over the workload and return the full trace,
     with the query answers, which both strategies share."""
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
-    validate_workload(workload, cfg)
-    answered = _answer_queries(cfg, workload, thresholds, ranges)
     grid_set, rows, events = _run(cfg, workload, strategy)
+    answered = _answer_queries(cfg, workload, thresholds, ranges)
     messages = tuple(Message(i, *row) for i, row in enumerate(rows))
     return SimulationTrace(strategy, messages, tuple(events), grid_set, answered)
 
@@ -259,6 +257,9 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     in emission order; infrastructure rows carry 0.0. The event list fills
     as the rows are consumed, so read it only after the last row.
     """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
+    validate_workload(workload, cfg)
     events: list[ComputeEvent] = []
     if strategy == QCPS:
         grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
@@ -334,6 +335,13 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     return _sum_costs(trace.strategy, transmissions, trace.compute_events, params)
 
 
+def _price(cfg: ScenarioConfig, workload: Workload, strategy: str):
+    """(grid set, costs) of one strategy: one pass over its rows, no trace."""
+    grid_set, rows, events = _run(cfg, workload, strategy)
+    transmissions = ((medium, dist) for _, _, _, medium, _, dist in rows)
+    return grid_set, _sum_costs(strategy, transmissions, events, cfg.cost_params)
+
+
 def _sum_costs(
     strategy: str,
     transmissions: Iterable[tuple[str, float]],
@@ -391,13 +399,8 @@ def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostCompariso
     events, so this builds no message and no trace. Query answers are
     strategy-independent and do not enter the costs, so it computes none;
     `run_scenario` answers the queries once per run."""
-    validate_workload(workload, cfg)
-    reports = {}
-    for strategy in STRATEGIES:
-        _grid_set, rows, events = _run(cfg, workload, strategy)
-        transmissions = ((medium, dist) for _, _, _, medium, _, dist in rows)
-        reports[strategy] = _sum_costs(strategy, transmissions, events, cfg.cost_params)
-    qcps_report, flat_report = reports[QCPS], reports[FLAT]
+    qcps_report = _price(cfg, workload, QCPS)[1]
+    flat_report = _price(cfg, workload, FLAT)[1]
     delta = {
         metric: getattr(qcps_report, metric) - getattr(flat_report, metric)
         for metric in COST_METRICS

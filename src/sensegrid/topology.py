@@ -129,7 +129,13 @@ class ScenarioConfig:
             if s.node_id in _RESERVED_IDS:
                 raise ConfigError(f"sensors[{i}].id: {s.node_id!r} is a reserved site name")
             seen.add(s.node_id)
+        if not isinstance(self.coordinator_overrides, dict):
+            raise ConfigError("coordinator_overrides: expected a dict")
         for sensor_type, node_id in self.coordinator_overrides.items():
+            if not isinstance(sensor_type, SensorType):
+                raise ConfigError(
+                    f"coordinator_overrides: key {sensor_type!r} is not a SensorType"
+                )
             node = self.find(node_id)
             if node is None:
                 raise ConfigError(

@@ -132,8 +132,13 @@ def generate_workload(
     Query windows run from tick 0 through the query tick. Request pairs are
     drawn uniformly over distinct ordered sensor pairs from a keyed stream.
     """
-    if n_queries < 0 or n_requests < 0:
-        raise WorkloadError("query and request counts must be non-negative")
+    for name, count in (("n_queries", n_queries), ("n_requests", n_requests)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise WorkloadError(f"{name}: expected a non-negative integer")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64
+    ):
+        raise WorkloadError("seed: expected an integer that fits in 64 unsigned bits")
     if (n_queries or n_requests) and cfg.duration_ticks <= 0:
         raise WorkloadError("cannot schedule events in a zero-tick scenario")
     if n_requests and len(cfg.sensors) < 2:
@@ -219,6 +224,10 @@ def load_workload(text: str) -> Workload:
     return Workload(queries=tuple(queries), requests=tuple(requests))
 
 
+def _is_entry(entry: object, size: int) -> bool:
+    return isinstance(entry, (tuple, list)) and len(entry) == size
+
+
 def _require_tick(tick: object, what: str) -> None:
     if isinstance(tick, bool) or not isinstance(tick, int):
         raise WorkloadError(f"{what}: tick {tick!r} is not an integer")
@@ -230,13 +239,24 @@ def validate_workload(workload: Workload, cfg: ScenarioConfig) -> None:
     A zero-tick scenario still admits events at tick 0 (nothing is reported,
     but queries and requests are processed).
     """
+    for name in ("queries", "requests"):
+        if not isinstance(getattr(workload, name), (tuple, list)):
+            raise WorkloadError(f"{name}: expected a tuple or list")
     last_tick = max(0, cfg.duration_ticks - 1)
     known = {s.node_id for s in cfg.sensors}
-    for tick, query in workload.queries:
+    for i, entry in enumerate(workload.queries):
+        if not (_is_entry(entry, 2) and isinstance(entry[1], CentricQuery)):
+            raise WorkloadError(f"queries[{i}]: expected a (tick, CentricQuery) pair")
+        tick, query = entry
         _require_tick(tick, f"query {query.query_id}")
         if not 0 <= tick <= last_tick:
             raise WorkloadError(f"query {query.query_id}: tick {tick} outside the run")
-    for tick, requester, target in workload.requests:
+    for i, entry in enumerate(workload.requests):
+        if not (_is_entry(entry, 3) and all(isinstance(id_, str) for id_ in entry[1:])):
+            raise WorkloadError(
+                f"requests[{i}]: expected a (tick, requester id, target id) triple"
+            )
+        tick, requester, target = entry
         _require_tick(tick, "request")
         if not 0 <= tick <= last_tick:
             raise WorkloadError(f"request at tick {tick}: outside the run")

@@ -25,6 +25,7 @@ from sensegrid import (
     compare_strategies,
     cost_of,
     distance,
+    dump_topology,
     form_grids,
     generate_workload,
     route_sensor_request,
@@ -32,7 +33,7 @@ from sensegrid import (
     run_scenario,
     serialize_trace,
 )
-from sensegrid import report, simulate
+from sensegrid import cli, report, simulate
 from sensegrid.cloud import SERVICE_SENSOR_TYPE
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
@@ -283,6 +284,74 @@ def test_compare_builds_no_message(testbed, built_messages):
     # the counter sees every message a trace holds
     trace = run_scenario(testbed, workload, FLAT)
     assert len(built_messages) == len(trace.messages) > 0
+
+
+def _cli_run(tmp_path, strategy, fmt, *args):
+    out = tmp_path / f"run_{strategy}.{fmt}"
+    argv = ["run", *args, "--strategy", strategy, "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    return out.read_text(encoding="utf-8")
+
+
+TESTBED_RUN = ("--testbed", "--ticks", "10", "--queries", "4", "--requests", "3")
+
+
+def test_cli_run_builds_no_message(tmp_path, built_messages):
+    # run prices the transmission rows as compare does, so no trace is built
+    for strategy in (QCPS, FLAT):
+        for fmt in ("json", "csv"):
+            assert _cli_run(tmp_path, strategy, fmt, *TESTBED_RUN)
+    assert built_messages == []
+
+
+@pytest.mark.parametrize("strategy", [QCPS, FLAT])
+def test_cli_run_csv_generates_no_reading(tmp_path, monkeypatch, strategy):
+    # the CSV holds costs only, so no query is answered
+    generated = []
+    real = simulate.generate_reading
+
+    def counting(*args, **kwargs):
+        generated.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "generate_reading", counting)
+    _cli_run(tmp_path, strategy, "csv", *TESTBED_RUN)
+    assert generated == []
+    # the counter sees the readings the JSON report's answers need
+    _cli_run(tmp_path, strategy, "json", *TESTBED_RUN)
+    assert generated
+
+
+def test_cli_run_matches_run_scenario_over_random_scenarios(tmp_path):
+    # the reference is the trace path: run_scenario, cost_of, then the report
+    rng = random.Random(31415)
+    for _ in range(12):
+        sensors = random_instance(rng, max_nodes=12)
+        cfg = dataclasses.replace(
+            builtin_testbed(),
+            sensors=tuple(sensors),
+            threshold=rng.uniform(10, 200),
+            duration_ticks=rng.randint(0, 10),
+            seed=rng.getrandbits(32),
+        )
+        n_queries = rng.randint(0, 4) if cfg.duration_ticks else 0
+        n_requests = rng.randint(0, 4) if cfg.duration_ticks and len(sensors) > 1 else 0
+        workload = generate_workload(cfg, n_queries, n_requests)
+        topology = tmp_path / "scenario.json"
+        topology.write_text(dump_topology(cfg), encoding="utf-8")
+        args = ("--topology", str(topology), "--queries", str(n_queries),
+                "--requests", str(n_requests))
+        for strategy in (QCPS, FLAT):
+            trace = run_scenario(cfg, workload, strategy)
+            costs = {strategy: cost_of(trace, cfg.cost_params)}
+            grids = trace.grid_set
+            if grids is None:
+                grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+            expected_json = report.canonical_json(
+                report.build_run_report(cfg, grids, costs, trace.answered)
+            )
+            assert _cli_run(tmp_path, strategy, "json", *args) == expected_json
+            assert _cli_run(tmp_path, strategy, "csv", *args) == report.cost_csv(costs)
 
 
 def test_flat_costs_ignore_threshold(testbed):

@@ -185,6 +185,9 @@ def test_load_topology_override_must_name_known_sensor_of_type():
     raw = _testbed_json(coordinator_overrides={"environment": "nobody"})
     with pytest.raises(ConfigError, match="coordinator_overrides"):
         load_topology(json.dumps(raw))
+    for overrides in ({"vision": "VS_1"}, None, [(SensorType.VISION, "VS_1")]):
+        with pytest.raises(ConfigError, match="^coordinator_overrides: "):
+            ScenarioConfig(builtin_testbed().sensors, 100.0, coordinator_overrides=overrides)
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,27 @@ def test_workload_empty_counts(testbed):
     assert workload == Workload()
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((2.5, 0), "n_queries"),
+        (("2", 0), "n_queries"),
+        ((True, 0), "n_queries"),
+        ((-1, 0), "n_queries"),
+        ((0, 1.0), "n_requests"),
+        ((0, False), "n_requests"),
+        ((1, 1, True), "seed"),
+        ((1, 1, -1), "seed"),
+        ((1, 1, 1.5), "seed"),
+        ((1, 1, 2**64), "seed"),
+        ((1, 1, "1"), "seed"),
+    ],
+)
+def test_generate_workload_rejects_bad_arguments(testbed, args, field):
+    with pytest.raises(WorkloadError, match=rf"^{field}: "):
+        generate_workload(testbed, *args)
+
+
 def test_workload_same_seed_identical(testbed):
     assert generate_workload(testbed, 20, 10, seed=7) == generate_workload(
         testbed, 20, 10, seed=7
@@ -155,6 +176,16 @@ def test_validate_workload_checks_ids_and_ticks(testbed):
             validate_workload(Workload(queries=((tick, query),)), testbed)
         with pytest.raises(WorkloadError, match=r"^request: tick .* is not an integer$"):
             validate_workload(Workload(requests=((tick, "VS_1", "ES_2"),)), testbed)
+    # containers must be sequences: a generator would be consumed by the check
+    for field in ("queries", "requests"):
+        with pytest.raises(WorkloadError, match=rf"^{field}: expected a tuple or list$"):
+            validate_workload(Workload(**{field: iter(())}), testbed)
+    for entry in ((1, "x"), (1,), (1, query, query), query):
+        with pytest.raises(WorkloadError, match=r"^queries\[0\]: expected a \(tick, "):
+            validate_workload(Workload(queries=(entry,)), testbed)
+    for entry in ((1, "VS_1"), (1, ["VS_1"], "VS_2"), (1, "VS_1", None), "VS_1"):
+        with pytest.raises(WorkloadError, match=r"^requests\[0\]: expected a \(tick, "):
+            validate_workload(Workload(requests=(entry,)), testbed)
 
 
 NAN = float("nan")
