@@ -2,14 +2,18 @@
 
 The cloud keeps one database per sensor type (VDB, SDB, EDB, MDB) with one
 append-only table per sensor. Estimators are pure reads over a tick window;
-an empty window is a flagged absence, never an error.
+an empty window is a flagged absence, never an error. Each estimator's
+formula is one function over the window's payload columns, so the public
+`estimate_*` functions (fed from a database's rows) and the simulator's
+answer path (fed from generated column batches) compute the same values.
 """
 
 from __future__ import annotations
 
 import enum
-import statistics
-from dataclasses import dataclass, field
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
 from .topology import SensorType
@@ -25,8 +29,7 @@ class VisionPayload:
     distorted: bool
 
     def __post_init__(self) -> None:
-        if self.lane_count not in (1, 2):
-            raise ConfigError("lane_count: must be 1 or 2")
+        _check_payload_columns(VisionPayload, ((self.lane_count,), (self.distorted,)))
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,7 @@ class SpeedPayload:
     vehicle_speed: float  # distance-units per tick
 
     def __post_init__(self) -> None:
-        if not self.vehicle_speed > 0:
-            raise ConfigError("vehicle_speed: must be positive")
+        _check_payload_columns(SpeedPayload, ((self.vehicle_speed,),))
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,9 @@ class EnvironmentPayload:
     light: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.humidity <= 100:
-            raise ConfigError("humidity: must lie in [0, 100]")
-        if self.light < 0:
-            raise ConfigError("light: must be non-negative")
+        _check_payload_columns(
+            EnvironmentPayload, ((self.temperature,), (self.humidity,), (self.light,))
+        )
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,41 @@ class MiscPayload:
     crash: bool
 
     def __post_init__(self) -> None:
-        if self.vehicle_count < 0:
-            raise ConfigError("vehicle_count: must be non-negative")
+        _check_payload_columns(MiscPayload, ((self.vehicle_count,), (self.crash,)))
 
 
 Payload = VisionPayload | SpeedPayload | EnvironmentPayload | MiscPayload
+
+# Each payload type's checks, in the order a payload applies them: the index
+# of the checked field, a test that is true for a rejected value, and the
+# error message.
+_PAYLOAD_CHECKS = {
+    VisionPayload: ((0, lambda v: v not in (1, 2), "lane_count: must be 1 or 2"),),
+    SpeedPayload: ((0, lambda v: not v > 0, "vehicle_speed: must be positive"),),
+    EnvironmentPayload: (
+        (1, lambda v: not 0 <= v <= 100, "humidity: must lie in [0, 100]"),
+        (2, lambda v: v < 0, "light: must be non-negative"),
+    ),
+    MiscPayload: ((0, lambda v: v < 0, "vehicle_count: must be non-negative"),),
+}
+
+
+def _check_payload_columns(payload_type: type, columns: Sequence[Sequence]) -> None:
+    """Raise the `ConfigError` that building the rows as payloads of this type,
+    in row order, would raise first; columns are in field order.
+
+    The one place the payload checks live: every payload runs them on its
+    one-row columns, and generated column batches on theirs.
+    """
+    failures = []
+    for order, (index, rejects, message) in enumerate(_PAYLOAD_CHECKS[payload_type]):
+        for row, value in enumerate(columns[index]):
+            if rejects(value):
+                failures.append((row, order, message))
+                break
+    if failures:
+        raise ConfigError(min(failures)[2])
+
 
 PAYLOAD_TYPE: dict[SensorType, type] = {
     SensorType.VISION: VisionPayload,
@@ -260,34 +291,36 @@ class EstimationReport:
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
+#
+# Each formula reads a window's payload columns, in payload field order, and
+# does not depend on row order: a mean is math.fsum(col) / len(col), which is
+# exactly statistics.fmean, and counts and `any` read whole columns.
 
-def estimate_road_condition(
-    vdb: CloudDatabase, window: tuple[int, int]
+def _mean(column: Sequence[float]) -> float:
+    return math.fsum(column) / len(column)
+
+
+def _road_condition(
+    lane_count: Sequence[int], distorted: Sequence[bool]
 ) -> RoadConditionResult:
-    """Fraction of distorted sightings and the dominant lane count (tie -> 2)."""
-    rows = vdb.in_window(window)
-    if not rows:
+    if not lane_count:
         return RoadConditionResult(data_available=False)
-    distorted = sum(1 for r in rows if r.payload.distorted)
-    single_lane = sum(1 for r in rows if r.payload.lane_count == 1)
-    dominant = 1 if single_lane > len(rows) - single_lane else 2
+    single_lane = sum(1 for lanes in lane_count if lanes == 1)
     return RoadConditionResult(
         data_available=True,
-        distorted_fraction=distorted / len(rows),
-        dominant_lane_count=dominant,
+        distorted_fraction=sum(1 for d in distorted if d) / len(distorted),
+        dominant_lane_count=1 if single_lane > len(lane_count) - single_lane else 2,
     )
 
 
-def estimate_velocity_travel_time(
-    sdb: CloudDatabase, window: tuple[int, int], segment_length: float
+def _velocity_travel_time(
+    vehicle_speed: Sequence[float], segment_length: float
 ) -> VelocityTravelTimeResult:
-    """Mean speed over the window and the ticks needed to cross the segment."""
     if not segment_length > 0:
         raise ConfigError("segment_length: must be positive")
-    rows = sdb.in_window(window)
-    if not rows:
+    if not vehicle_speed:
         return VelocityTravelTimeResult(data_available=False)
-    mean_speed = statistics.fmean(r.payload.vehicle_speed for r in rows)
+    mean_speed = _mean(vehicle_speed)
     if mean_speed == 0:
         return VelocityTravelTimeResult(data_available=False)
     return VelocityTravelTimeResult(
@@ -297,29 +330,25 @@ def estimate_velocity_travel_time(
     )
 
 
-def estimate_environment(
-    edb: CloudDatabase, window: tuple[int, int]
+def _environment(
+    temperature: Sequence[float], humidity: Sequence[float], light: Sequence[float]
 ) -> EnvironmentResult:
-    rows = edb.in_window(window)
-    if not rows:
+    if not temperature:
         return EnvironmentResult(data_available=False)
     return EnvironmentResult(
         data_available=True,
-        mean_temperature=statistics.fmean(r.payload.temperature for r in rows),
-        mean_humidity=statistics.fmean(r.payload.humidity for r in rows),
-        mean_light=statistics.fmean(r.payload.light for r in rows),
+        mean_temperature=_mean(temperature),
+        mean_humidity=_mean(humidity),
+        mean_light=_mean(light),
     )
 
 
-def estimate_congestion(
-    mdb: CloudDatabase,
-    window: tuple[int, int],
-    thresholds: CongestionThresholds = CongestionThresholds(),
+def _congestion(
+    vehicle_count: Sequence[int], crash: Sequence[bool], thresholds: CongestionThresholds
 ) -> CongestionResult:
-    rows = mdb.in_window(window)
-    if not rows:
+    if not vehicle_count:
         return CongestionResult(data_available=False)
-    mean_count = statistics.fmean(r.payload.vehicle_count for r in rows)
+    mean_count = _mean(vehicle_count)
     if mean_count <= thresholds.low_max:
         level = "low"
     elif mean_count <= thresholds.medium_max:
@@ -330,8 +359,63 @@ def estimate_congestion(
         data_available=True,
         mean_vehicle_count=mean_count,
         congestion_level=level,
-        any_crash=any(r.payload.crash for r in rows),
+        any_crash=any(crash),
     )
+
+
+def _estimate(
+    service: Service,
+    columns: Sequence[Sequence],
+    segment_length: float,
+    thresholds: CongestionThresholds,
+) -> SectionResult:
+    """One service's section from its sensor type's window columns."""
+    if service is Service.ROAD_CONDITION:
+        return _road_condition(*columns)
+    if service is Service.VELOCITY_TRAVEL_TIME:
+        return _velocity_travel_time(*columns, segment_length)
+    if service is Service.ENVIRONMENT:
+        return _environment(*columns)
+    return _congestion(*columns, thresholds)
+
+
+def _window_columns(
+    db: CloudDatabase, window: tuple[int, int], payload_type: type
+) -> list[list]:
+    """The window's rows as one column per field of the payload type the
+    estimator reads."""
+    rows = db.in_window(window)
+    return [[getattr(r.payload, f.name) for r in rows] for f in fields(payload_type)]
+
+
+def estimate_road_condition(
+    vdb: CloudDatabase, window: tuple[int, int]
+) -> RoadConditionResult:
+    """Fraction of distorted sightings and the dominant lane count (tie -> 2)."""
+    return _road_condition(*_window_columns(vdb, window, VisionPayload))
+
+
+def estimate_velocity_travel_time(
+    sdb: CloudDatabase, window: tuple[int, int], segment_length: float
+) -> VelocityTravelTimeResult:
+    """Mean speed over the window and the ticks needed to cross the segment."""
+    return _velocity_travel_time(
+        *_window_columns(sdb, window, SpeedPayload), segment_length
+    )
+
+
+def estimate_environment(
+    edb: CloudDatabase, window: tuple[int, int]
+) -> EnvironmentResult:
+    return _environment(*_window_columns(edb, window, EnvironmentPayload))
+
+
+def estimate_congestion(
+    mdb: CloudDatabase,
+    window: tuple[int, int],
+    thresholds: CongestionThresholds = CongestionThresholds(),
+) -> CongestionResult:
+    return _congestion(*_window_columns(mdb, window, MiscPayload), thresholds)
 
 
 def answer_centric_query(
@@ -343,15 +427,7 @@ def answer_centric_query(
     """Answer a centric query: one section per requested service, nothing more."""
     sections: dict[Service, SectionResult] = {}
     for service in query.requested_services:
-        db = cloud.db(SERVICE_SENSOR_TYPE[service])
-        if service is Service.ROAD_CONDITION:
-            sections[service] = estimate_road_condition(db, query.window)
-        elif service is Service.VELOCITY_TRAVEL_TIME:
-            sections[service] = estimate_velocity_travel_time(
-                db, query.window, segment_length
-            )
-        elif service is Service.ENVIRONMENT:
-            sections[service] = estimate_environment(db, query.window)
-        else:
-            sections[service] = estimate_congestion(db, query.window, thresholds)
+        sensor_type = SERVICE_SENSOR_TYPE[service]
+        columns = _window_columns(cloud.db(sensor_type), query.window, PAYLOAD_TYPE[sensor_type])
+        sections[service] = _estimate(service, columns, segment_length, thresholds)
     return EstimationReport(query_id=query.query_id, sections=sections)

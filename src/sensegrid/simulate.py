@@ -20,9 +20,10 @@ transmission rows (tick, src, dst, medium, purpose, wireless distance) in
 that order, and a run's compute events fill as its rows are consumed.
 Traces are a pure function of (config, workload, strategy).
 
-`_run` hands out that stream and is the one place that checks the strategy
-and the workload; everything else is a pass over it. `run_scenario` numbers
-the rows into the trace's messages, so `msg_id` is the emission index.
+`_run` hands out that stream and is the one place that checks the strategy,
+the config and the workload; everything else is a pass over it.
+`run_scenario` numbers the rows into the trace's messages, so `msg_id` is
+the emission index.
 Costs are counts and sums, one pass with constant state: `cost_of` prices
 a trace's messages, and `_price`, shared by `compare_strategies` and the
 CLI's `run`, prices the rows as they are generated, building no trace.
@@ -30,24 +31,28 @@ CLI's `run`, prices the rows as they are generated, building no trace.
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
 query tick. So `run_scenario` computes the answers once per run, on one
-answer path, and `compare_strategies` computes none.
+answer path, and `compare_strategies` computes none. That path generates
+each (sensor type, tick) batch of readings once, as payload columns, and
+the estimators read the columns; it builds no `Reading` and no `Cloud`.
 """
 
 from __future__ import annotations
 
 import statistics
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cloud import (
+    PAYLOAD_TYPE,
     CentricQuery,
     Cloud,
     CongestionThresholds,
     EstimationReport,
     SERVICE_SENSOR_TYPE,
+    _estimate,
     answer_centric_query,
 )
-from .errors import ConfigError, RoutingError
+from .errors import ConfigError, RoutingError, WorkloadError
 from .grids import GridSet, form_grids
 from .topology import (
     CLOUD_SITE,
@@ -60,7 +65,13 @@ from .topology import (
     SensorType,
     distance,
 )
-from .workload import DEFAULT_RANGES, ReadingRanges, Workload, generate_reading, validate_workload
+from .workload import (
+    DEFAULT_RANGES,
+    ReadingRanges,
+    Workload,
+    _reading_columns,
+    validate_workload,
+)
 
 QCPS = "qcps"
 FLAT = "flat"
@@ -205,33 +216,35 @@ def _answer_queries(
 
     Answers are strategy-independent, so this is the one answer path:
     `run_scenario` and the CLI's `run` call it once per run, and
-    `compare_strategies` never does. A query sees the readings sensed inside its window up to its tick.
-    One store serves every query: each (sensor type, tick) batch goes in the
-    first time a window clipped to min(end, tick, last sensed tick) covers
-    it. Queries are answered in tick order, so the store never holds a
-    reading sensed after the query's tick, and the estimators do not depend
-    on row order (fmean is fsum / n).
+    `compare_strategies` never does. A query sees the readings sensed inside
+    its window up to its tick. Each (sensor type, tick) batch is generated
+    once, as payload columns, the first time a window clipped to
+    min(end, tick, last sensed tick) covers it, and each service's section
+    is computed from the columns of its window's batches. The estimators do
+    not depend on row order (a mean is fsum / n).
     """
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
-    cloud = Cloud()
-    ingested: set[tuple[SensorType, int]] = set()
+    batches: dict[tuple[SensorType, int], list[tuple]] = {}
     last_sensed = cfg.duration_ticks - 1
     answered = []
     for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
         start, end = query.window
+        sections = {}
         for service in query.requested_services:
             sensor_type = SERVICE_SENSOR_TYPE[service]
-            db = cloud.db(sensor_type)
+            columns = [[] for _ in fields(PAYLOAD_TYPE[sensor_type])]
             for window_tick in range(start, min(end, tick, last_sensed) + 1):
-                if (sensor_type, window_tick) not in ingested:
-                    ingested.add((sensor_type, window_tick))
-                    for sensor in sensors_of[sensor_type]:
-                        db.ingest(generate_reading(sensor, window_tick, cfg.seed, ranges))
-        answered.append(
-            (tick, answer_centric_query(query, cloud, cfg.segment_length, thresholds))
-        )
+                batch = batches.get((sensor_type, window_tick))
+                if batch is None:
+                    batch = batches[sensor_type, window_tick] = _reading_columns(
+                        sensors_of[sensor_type], window_tick, cfg.seed, ranges
+                    )
+                for column, values in zip(columns, batch):
+                    column.extend(values)
+            sections[service] = _estimate(service, columns, cfg.segment_length, thresholds)
+        answered.append((tick, EstimationReport(query.query_id, sections)))
     return tuple(answered)
 
 
@@ -259,6 +272,10 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(f"cfg: expected a ScenarioConfig, got {type(cfg).__name__}")
+    if not isinstance(workload, Workload):
+        raise WorkloadError(f"workload: expected a Workload, got {type(workload).__name__}")
     validate_workload(workload, cfg)
     events: list[ComputeEvent] = []
     if strategy == QCPS:

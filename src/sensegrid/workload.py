@@ -13,13 +13,11 @@ import random
 from dataclasses import dataclass
 
 from .cloud import (
+    PAYLOAD_TYPE,
     CentricQuery,
-    EnvironmentPayload,
-    MiscPayload,
     Reading,
     Service,
-    SpeedPayload,
-    VisionPayload,
+    _check_payload_columns,
     service_from_name,
 )
 from .errors import ConfigError, WorkloadError
@@ -76,6 +74,36 @@ def _stream(seed: int, *key_parts: object) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _draw_vision(rng: random.Random, ranges: ReadingRanges) -> tuple:
+    return rng.choice((1, 2)), rng.random() < ranges.distorted_prob
+
+
+def _draw_speed(rng: random.Random, ranges: ReadingRanges) -> tuple:
+    return (rng.uniform(*ranges.speed),)
+
+
+def _draw_environment(rng: random.Random, ranges: ReadingRanges) -> tuple:
+    return (
+        rng.uniform(*ranges.temperature),
+        rng.uniform(*ranges.humidity),
+        rng.uniform(*ranges.light),
+    )
+
+
+def _draw_misc(rng: random.Random, ranges: ReadingRanges) -> tuple:
+    return rng.randint(*ranges.vehicle_count), rng.random() < ranges.crash_prob
+
+
+# The payload field values of one reading, in field order, drawn from the
+# reading's keyed stream; the one place the draws and their order are written.
+_DRAW = {
+    SensorType.VISION: _draw_vision,
+    SensorType.SPEED: _draw_speed,
+    SensorType.ENVIRONMENT: _draw_environment,
+    SensorType.MISCELLANEOUS: _draw_misc,
+}
+
+
 def generate_reading(
     sensor: SensorNode,
     tick: int,
@@ -84,25 +112,43 @@ def generate_reading(
 ) -> Reading:
     """The reading a sensor produces at a tick; a pure function of its key."""
     rng = _stream(seed, "reading", sensor.node_id, tick)
-    if sensor.sensor_type is SensorType.VISION:
-        payload = VisionPayload(
-            lane_count=rng.choice((1, 2)),
-            distorted=rng.random() < ranges.distorted_prob,
-        )
-    elif sensor.sensor_type is SensorType.SPEED:
-        payload = SpeedPayload(vehicle_speed=rng.uniform(*ranges.speed))
-    elif sensor.sensor_type is SensorType.ENVIRONMENT:
-        payload = EnvironmentPayload(
-            temperature=rng.uniform(*ranges.temperature),
-            humidity=rng.uniform(*ranges.humidity),
-            light=rng.uniform(*ranges.light),
-        )
-    else:
-        payload = MiscPayload(
-            vehicle_count=rng.randint(*ranges.vehicle_count),
-            crash=rng.random() < ranges.crash_prob,
-        )
+    values = _DRAW[sensor.sensor_type](rng, ranges)
+    payload = PAYLOAD_TYPE[sensor.sensor_type](*values)
     return Reading(sensor_id=sensor.node_id, tick=tick, payload=payload)
+
+
+def _reading_columns(
+    sensors: list[SensorNode], tick: int, seed: int, ranges: ReadingRanges
+) -> list[tuple]:
+    """The readings same-type sensors produce at a tick, as one column per
+    payload field (in field order, rows in sensor order); no sensors, no
+    columns.
+
+    The values are exactly `generate_reading`'s: each sensor's stream is
+    keyed by the same sha256 digest, and one reused generator is re-seeded
+    with it. No payload or `Reading` is built, but every value passes the
+    payload checks and fails them with the same `ConfigError`.
+    """
+    if not sensors:
+        return []
+    sensor_type = sensors[0].sensor_type
+    draw = _DRAW[sensor_type]
+    rng = random.Random(0)
+    # Seeding through the base class skips Random.seed's reset of the gauss
+    # cache, which no reading draw uses.
+    reseed = super(random.Random, rng).seed
+    sha256 = hashlib.sha256
+    # _stream's key material for (seed, "reading", node id, tick)
+    head = str(seed) + "|reading|"
+    tail = "|" + str(tick)
+    rows = []
+    for sensor in sensors:
+        key = (head + str(sensor.node_id) + tail).encode()
+        reseed(int.from_bytes(sha256(key).digest(), "big"))
+        rows.append(draw(rng, ranges))
+    columns = list(zip(*rows))
+    _check_payload_columns(PAYLOAD_TYPE[sensor_type], columns)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -132,6 +178,8 @@ def generate_workload(
     Query windows run from tick 0 through the query tick. Request pairs are
     drawn uniformly over distinct ordered sensor pairs from a keyed stream.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(f"cfg: expected a ScenarioConfig, got {type(cfg).__name__}")
     for name, count in (("n_queries", n_queries), ("n_requests", n_requests)):
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise WorkloadError(f"{name}: expected a non-negative integer")

@@ -100,6 +100,16 @@ def test_road_condition_empty_window():
     assert result.dominant_lane_count is None
 
 
+def test_estimators_read_an_empty_database_of_any_type_as_no_data():
+    # each estimator reads its own payload's fields, whatever the database
+    for sensor_type in SensorType:
+        db = CloudDatabase(sensor_type)
+        assert not estimate_road_condition(db, (0, 3)).data_available
+        assert not estimate_velocity_travel_time(db, (0, 3), 10.0).data_available
+        assert not estimate_environment(db, (0, 3)).data_available
+        assert not estimate_congestion(db, (0, 3)).data_available
+
+
 def test_velocity_mean_and_travel_time():
     sdb = CloudDatabase(SensorType.SPEED)
     for tick, v in enumerate([10.0, 20.0, 30.0]):

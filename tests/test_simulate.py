@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from sensegrid import (
     CentricQuery,
     Cloud,
+    ConfigError,
+    CongestionThresholds,
     CostParams,
     FLAT,
     Message,
     Position,
     QCPS,
+    ReadingRanges,
     RoutingError,
     ScenarioConfig,
     SensorNode,
@@ -308,13 +311,13 @@ def test_cli_run_builds_no_message(tmp_path, built_messages):
 def test_cli_run_csv_generates_no_reading(tmp_path, monkeypatch, strategy):
     # the CSV holds costs only, so no query is answered
     generated = []
-    real = simulate.generate_reading
+    real = simulate._reading_columns
 
-    def counting(*args, **kwargs):
-        generated.append(None)
-        return real(*args, **kwargs)
+    def counting(sensors, *rest):
+        generated.extend(None for _ in sensors)
+        return real(sensors, *rest)
 
-    monkeypatch.setattr(simulate, "generate_reading", counting)
+    monkeypatch.setattr(simulate, "_reading_columns", counting)
     _cli_run(tmp_path, strategy, "csv", *TESTBED_RUN)
     assert generated == []
     # the counter sees the readings the JSON report's answers need
@@ -522,17 +525,64 @@ def test_flat_answers_match_oracle_for_api_windows(testbed, case):
     assert flat == run_scenario(cfg, workload, QCPS).answered
 
 
+# crash_prob 1.0, distorted_prob 0.0, a narrow speed range, and vehicle
+# counts whose mean lies in [10, 20]
+NON_DEFAULT_RANGES = ReadingRanges(
+    speed=(12.0, 12.5), distorted_prob=0.0, crash_prob=1.0, vehicle_count=(10, 20)
+)
+
+
+@pytest.mark.parametrize(
+    "thresholds, level",
+    [
+        (CongestionThresholds(low_max=20.0, medium_max=25.0), "low"),
+        (CongestionThresholds(low_max=5.0, medium_max=20.0), "medium"),
+        (CongestionThresholds(low_max=1.0, medium_max=5.0), "high"),
+    ],
+)
+@pytest.mark.parametrize("strategy", [QCPS, FLAT])
+def test_answers_match_oracle_with_non_default_settings(testbed, thresholds, level, strategy):
+    cfg = dataclasses.replace(testbed, duration_ticks=12)
+    workload = _queries((3, ALL, (0, 3)), (7, (CONGESTION, SPEED), (2, 9)), (11, ALL, (0, 30)))
+    answered = run_scenario(
+        cfg, workload, strategy, thresholds=thresholds, ranges=NON_DEFAULT_RANGES
+    ).answered
+    assert answered == flat_answers_oracle(cfg, workload, thresholds, NON_DEFAULT_RANGES)
+    for _, answer in answered:
+        congestion = answer.sections[CONGESTION]
+        assert (congestion.congestion_level, congestion.any_crash) == (level, True)
+        assert 12.0 <= answer.sections[SPEED].mean_speed <= 12.5
+        if ROAD in answer.sections:
+            assert answer.sections[ROAD].distorted_fraction == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, argument",
+    [
+        (lambda cfg: run_scenario(cfg, None, QCPS), WorkloadError, "workload"),
+        (lambda cfg: run_scenario(None, Workload(), QCPS), ConfigError, "cfg"),
+        (lambda cfg: compare_strategies(cfg, {"queries": ()}), WorkloadError, "workload"),
+        (lambda cfg: compare_strategies("x", Workload()), ConfigError, "cfg"),
+        (lambda cfg: generate_workload(None, 1, 1), ConfigError, "cfg"),
+    ],
+    ids=["run_workload", "run_cfg", "compare_workload", "compare_cfg", "generate_cfg"],
+)
+def test_arguments_of_the_wrong_type_raise_a_named_error(testbed, call, error, argument):
+    with pytest.raises(error, match=rf"^{argument}: expected a "):
+        call(testbed)
+
+
 @pytest.fixture
 def generated(monkeypatch):
     """The (sensor id, tick) key of every reading the simulator generates."""
     keys = []
-    real = simulate.generate_reading
+    real = simulate._reading_columns
 
-    def counting(sensor, tick, *rest):
-        keys.append((sensor.node_id, tick))
-        return real(sensor, tick, *rest)
+    def counting(sensors, tick, *rest):
+        keys.extend((sensor.node_id, tick) for sensor in sensors)
+        return real(sensors, tick, *rest)
 
-    monkeypatch.setattr(simulate, "generate_reading", counting)
+    monkeypatch.setattr(simulate, "_reading_columns", counting)
     return keys
 
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensegrid import (
     ConfigError,
@@ -128,6 +129,57 @@ def test_load_topology_roundtrip_random_configs():
             ),
         )
         assert load_topology(dump_topology(cfg)) == cfg
+
+
+# load_topology reads every number as a float, so integers round-trip only
+# where float() is exact
+_EXACT_INTS = st.integers(-(2**53), 2**53)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _positive(strategy):
+    return strategy.filter(lambda v: v > 0)
+
+
+@st.composite
+def _configs(draw):
+    ids = draw(
+        st.lists(
+            st.text(min_size=1, max_size=6).filter(lambda i: i not in ("cloud", "user", "gateway")),
+            max_size=8,
+            unique=True,
+        )
+    )
+    coordinate = _EXACT_INTS | _FINITE
+    sensors = tuple(
+        SensorNode(
+            node_id,
+            draw(st.sampled_from(SensorType)),
+            Position(draw(coordinate), draw(coordinate), draw(coordinate)),
+        )
+        for node_id in ids
+    )
+    overrides = {}
+    for sensor_type in draw(st.sets(st.sampled_from(SensorType))):
+        members = [s.node_id for s in sensors if s.sensor_type is sensor_type]
+        if members:
+            overrides[sensor_type] = draw(st.sampled_from(members))
+    non_negative = st.integers(0, 2**53) | st.floats(0, 1e300)
+    return ScenarioConfig(
+        sensors=sensors,
+        threshold=draw(_positive(_EXACT_INTS | _FINITE)),
+        cost_params=CostParams(draw(non_negative), draw(non_negative), draw(non_negative)),
+        segment_length=draw(_positive(_EXACT_INTS | _FINITE)),
+        duration_ticks=draw(st.integers(0, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        coordinator_overrides=overrides,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_configs())
+def test_load_topology_inverts_dump_topology(cfg):
+    assert load_topology(dump_topology(cfg)) == cfg
 
 
 def _testbed_json(**mutations):

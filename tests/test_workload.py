@@ -3,11 +3,15 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensegrid import (
     CentricQuery,
     ConfigError,
+    Position,
     ReadingRanges,
+    SensorNode,
+    SensorType,
     Service,
     Workload,
     WorkloadError,
@@ -16,14 +20,16 @@ from sensegrid import (
     generate_workload,
     load_workload,
 )
+from sensegrid import workload as workload_module
 from sensegrid.cloud import (
     EnvironmentPayload,
     MiscPayload,
     PAYLOAD_TYPE,
     SpeedPayload,
     VisionPayload,
+    _check_payload_columns,
 )
-from sensegrid.workload import validate_workload
+from sensegrid.workload import _reading_columns, validate_workload
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,99 @@ def test_generated_values_in_declared_ranges(testbed):
         m = generate_reading(misc, tick, 42).payload
         assert 0 <= m.vehicle_count <= 40
         assert generate_reading(vision, tick, 42).payload.lane_count in (1, 2)
+
+
+NAN = float("nan")
+
+
+@st.composite
+def _reading_ranges(draw):
+    def pair(low, high):
+        first = draw(st.floats(low, high))
+        return first, draw(st.floats(first, high))
+
+    low_count = draw(st.integers(0, 50))
+    return ReadingRanges(
+        speed=pair(1e-3, 1e3),
+        temperature=pair(-100.0, 100.0),
+        humidity=pair(0.0, 100.0),
+        light=pair(0.0, 1e5),
+        distorted_prob=draw(st.floats(0.0, 1.0)),
+        crash_prob=draw(st.floats(0.0, 1.0)),
+        vehicle_count=(low_count, draw(st.integers(low_count, 100))),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(
+    sensor_type=st.sampled_from(SensorType),
+    ids=st.lists(st.text(min_size=1, max_size=8), max_size=6, unique=True),
+    tick=st.integers(0, 10**6),
+    seed=st.integers(0, 2**64 - 1),
+    ranges=_reading_ranges(),
+)
+def test_reading_columns_match_generate_reading(sensor_type, ids, tick, seed, ranges):
+    sensors = [SensorNode(node_id, sensor_type, Position(0, 0, 0)) for node_id in ids]
+    payloads = [generate_reading(s, tick, seed, ranges).payload for s in sensors]
+    expected = [
+        tuple(getattr(payload, f.name) for payload in payloads)
+        for f in dataclasses.fields(PAYLOAD_TYPE[sensor_type])
+    ]
+    assert _reading_columns(sensors, tick, seed, ranges) == (expected if ids else [])
+
+
+# rows of payload fields, and the error of the first payload check to fail
+# in row order (None: every row is valid)
+PAYLOAD_ROWS = {
+    "later_row_fails_later_check": (
+        EnvironmentPayload,
+        [(20.0, 50.0, 1.0), (20.0, 50.0, -1.0), (20.0, 101.0, 1.0)],
+        "light: must be non-negative",
+    ),
+    "one_row_fails_both_checks": (
+        EnvironmentPayload, [(20.0, 100.5, -1.0)], "humidity: must lie in [0, 100]"
+    ),
+    "humidity_nan": (EnvironmentPayload, [(20.0, NAN, 1.0)], "humidity: must lie in [0, 100]"),
+    "light_nan_passes": (EnvironmentPayload, [(20.0, 50.0, NAN)], None),
+    "lane_count": (
+        VisionPayload, [(1, False), (2, True), (3, False)], "lane_count: must be 1 or 2"
+    ),
+    "speed_nan": (SpeedPayload, [(1.0,), (NAN,)], "vehicle_speed: must be positive"),
+    "vehicle_count": (
+        MiscPayload, [(0, False), (-1, True)], "vehicle_count: must be non-negative"
+    ),
+    "all_valid": (MiscPayload, [(0, False), (7, True)], None),
+}
+
+
+def _error(check):
+    try:
+        check()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_ROWS))
+def test_payload_column_checks_match_payloads(case):
+    payload_type, rows, expected = PAYLOAD_ROWS[case]
+    assert _error(lambda: [payload_type(*row) for row in rows]) == expected
+    assert _error(lambda: _check_payload_columns(payload_type, list(zip(*rows)))) == expected
+
+
+def test_reading_columns_reject_a_value_a_payload_rejects(testbed, monkeypatch):
+    # uniform can round a draw just past its high bound; both reading paths
+    # must then fail the payload's check
+    def rounded_past_100(rng, ranges):
+        return 20.0, 100.00000000000001, 5.0
+
+    monkeypatch.setitem(workload_module._DRAW, SensorType.ENVIRONMENT, rounded_past_100)
+    env = [s for s in testbed.sensors if s.sensor_type is SensorType.ENVIRONMENT]
+    message = re.escape("humidity: must lie in [0, 100]")
+    with pytest.raises(ConfigError, match=message):
+        generate_reading(env[0], 3, testbed.seed)
+    with pytest.raises(ConfigError, match=message):
+        _reading_columns(env, 3, testbed.seed, ReadingRanges())
 
 
 def test_workload_empty_counts(testbed):
@@ -188,7 +287,6 @@ def test_validate_workload_checks_ids_and_ticks(testbed):
             validate_workload(Workload(requests=(entry,)), testbed)
 
 
-NAN = float("nan")
 
 # case: (field, value, the message after "ranges.<field>: ")
 BAD_RANGES = {
