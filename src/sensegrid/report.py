@@ -7,8 +7,12 @@ decimal places, no locale or dict-order dependence anywhere.
 A trace holds one message per transmission, hundreds of thousands in a
 large run, so ``serialize_trace`` does not build a dict per message for the
 recursive writer: it writes the top-level object itself and each message as
-one row from a fixed template, with exact-type fast paths for str, int and
-float and the recursive writer for any other value. Its bytes equal
+one row from a fixed template. A trace from ``run_scenario`` keeps the
+transmission rows the strategy runners yielded, whose value types are fixed,
+so its rows are filled from those rows without building a ``Message``. The
+general path serves any other sequence of ``Message``, such as a trace built
+through the API: exact-type fast paths for str, int and float and the
+recursive writer for any other value. Either way the bytes equal
 ``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict view
 kept in the tests as the reference, and the tests enforce it.
 """
@@ -17,10 +21,17 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import islice
 
 from .cloud import EstimationReport
 from .grids import GridSet
-from .simulate import COST_METRICS, CostComparison, CostReport, SimulationTrace
+from .simulate import (
+    COST_METRICS,
+    CostComparison,
+    CostReport,
+    SimulationTrace,
+    _Messages,
+)
 from .topology import ScenarioConfig, config_payload
 
 TOOL_VERSION = "0.1.0"
@@ -54,15 +65,17 @@ def _write_canonical(value, out: io.StringIO, indent: int) -> None:
     elif isinstance(value, int):
         out.write(str(value))
     elif isinstance(value, float):
-        if value == 0:
-            value = 0.0  # never emit -0.000000
-        out.write(format(value, ".6f"))
+        out.write(_json_float(value))
     elif isinstance(value, str):
         out.write(json.dumps(value))
     elif value is None:
         out.write("null")
     else:
         raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def _json_float(value: float) -> str:
+    return "0.000000" if value == 0 else format(value, ".6f")  # never -0.000000
 
 
 def canonical_json(value) -> str:
@@ -130,23 +143,6 @@ _ROWS_PER_CHUNK = 4096  # rows joined at a time, so no second full copy exists
 def serialize_trace(trace: SimulationTrace) -> str:
     """The canonical JSON of a trace: strategy, messages, compute events,
     grids (null for flat) and the answered reports with their ticks."""
-    names: dict[str, str] = {}
-
-    def _scalar(value) -> str:
-        kind = type(value)
-        if kind is str:
-            text = names.get(value)
-            if text is None:
-                text = names[value] = json.dumps(value)
-            return text
-        if kind is int:
-            return str(value)
-        if kind is float:
-            return "0.000000" if value == 0 else format(value, ".6f")
-        nested = io.StringIO()
-        _write_canonical(value, nested, 3)
-        return nested.getvalue()
-
     out = io.StringIO()
     out.write('{\n  "compute_events": ')
     _write_canonical(
@@ -163,27 +159,15 @@ def serialize_trace(trace: SimulationTrace) -> str:
     out.write(',\n  "messages": ')
     messages = trace.messages
     if messages:
+        if type(messages) is _Messages:
+            rows = _runner_rows(messages._rows)
+        else:
+            rows = _message_rows(messages)
         out.write("[\n")
         for start in range(0, len(messages), _ROWS_PER_CHUNK):
             if start:
                 out.write(",\n")
-            out.write(
-                ",\n".join(
-                    [
-                        _MESSAGE_ROW
-                        % (
-                            _scalar(m.dst),
-                            _scalar(m.medium),
-                            _scalar(m.msg_id),
-                            _scalar(m.purpose),
-                            _scalar(m.src),
-                            _scalar(m.tick),
-                            _scalar(m.wireless_distance),
-                        )
-                        for m in messages[start : start + _ROWS_PER_CHUNK]
-                    ]
-                )
-            )
+            out.write(",\n".join(islice(rows, _ROWS_PER_CHUNK)))
         out.write("\n  ]")
     else:
         out.write("[]")
@@ -193,6 +177,58 @@ def serialize_trace(trace: SimulationTrace) -> str:
     _write_canonical(trace.strategy, out, 1)
     out.write("\n}\n")
     return out.getvalue()
+
+
+class _JsonTexts(dict):
+    """The JSON text of each name (a str) or distance (a float), made once."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value) if isinstance(value, str) else _json_float(value)
+        return text
+
+
+def _runner_rows(rows: tuple[tuple, ...]):
+    """The message rows of a runner trace, from its transmission rows.
+
+    Their value types are fixed: ticks are ints, a message's id is its row
+    index, names are strs and distances floats. So the ints are written
+    directly and each name and distance is formatted once per call.
+    """
+    text = _JsonTexts()
+    for i, (tick, src, dst, medium, purpose, dist) in enumerate(rows):
+        yield _MESSAGE_ROW % (
+            text[dst], text[medium], i, text[purpose], text[src], tick, text[dist]
+        )
+
+
+def _message_rows(messages):
+    """The message rows of any sequence of `Message`, whatever its values:
+    exact str, int and float take fast paths and the rest (bools, str
+    subclasses, nested values) the recursive writer at the row's depth."""
+    names = _JsonTexts()
+
+    def _scalar(value) -> str:
+        kind = type(value)
+        if kind is str:
+            return names[value]
+        if kind is int:
+            return str(value)
+        if kind is float:
+            return _json_float(value)
+        nested = io.StringIO()
+        _write_canonical(value, nested, 3)
+        return nested.getvalue()
+
+    for m in messages:
+        yield _MESSAGE_ROW % (
+            _scalar(m.dst),
+            _scalar(m.medium),
+            _scalar(m.msg_id),
+            _scalar(m.purpose),
+            _scalar(m.src),
+            _scalar(m.tick),
+            _scalar(m.wireless_distance),
+        )
 
 
 def build_run_report(

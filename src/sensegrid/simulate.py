@@ -22,11 +22,13 @@ Traces are a pure function of (config, workload, strategy).
 
 `_run` hands out that stream and is the one place that checks the strategy,
 the config and the workload; everything else is a pass over it.
-`run_scenario` numbers the rows into the trace's messages, so `msg_id` is
-the emission index.
+`run_scenario` keeps the rows as they are: a runner trace's `messages` is a
+read-only sequence over them, and `msg_id` is a row's emission index, so a
+`Message` is built only when one is read.
 Costs are counts and sums, one pass with constant state: `cost_of` prices
-a trace's messages, and `_price`, shared by `compare_strategies` and the
-CLI's `run`, prices the rows as they are generated, building no trace.
+a trace (a runner trace straight from its rows), and `_price`, shared by
+`compare_strategies` and the CLI's `run`, prices the rows as they are
+generated, building no trace.
 
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
@@ -39,7 +41,7 @@ the estimators read the columns; it builds no `Reading` and no `Cloud`.
 from __future__ import annotations
 
 import statistics
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 
 from .cloud import (
@@ -101,10 +103,58 @@ class ComputeEvent:
     op_count: int = 1
 
 
+class _Messages(Sequence):
+    """A runner trace's messages, kept as the rows `_run` yielded.
+
+    Row i is (tick, src, dst, medium, purpose, distance) and its message is
+    `Message(i, *row)`, built only when read: indexing, iteration and
+    slicing (which returns a tuple) build messages, `len` builds none. It
+    equals, hashes and prints as the tuple of its messages.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[tuple, ...]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        ids = range(len(self._rows))[index]
+        if isinstance(index, slice):
+            return tuple(Message(i, *self._rows[i]) for i in ids)
+        return Message(ids, *self._rows[ids])
+
+    def __iter__(self):
+        for i, row in enumerate(self._rows):
+            yield Message(i, *row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Messages):
+            return self._rows == other._rows
+        if isinstance(other, tuple):
+            return len(other) == len(self._rows) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _Messages, (self._rows,)
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
+    """One strategy's run. `messages` is in emission order; a trace from
+    `run_scenario` keeps its transmission rows and builds each `Message` on
+    read, and an API-built trace may hold any sequence of messages."""
+
     strategy: str
-    messages: tuple[Message, ...]
+    messages: Sequence[Message]
     compute_events: tuple[ComputeEvent, ...]
     grid_set: GridSet | None
     answered: tuple[tuple[int, EstimationReport], ...]
@@ -256,10 +306,11 @@ def run_scenario(
     ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> SimulationTrace:
     """Execute one strategy over the workload and return the full trace,
-    with the query answers, which both strategies share."""
+    with the query answers, which both strategies share. The trace keeps
+    the transmission rows and builds no message until one is read."""
     grid_set, rows, events = _run(cfg, workload, strategy)
     answered = _answer_queries(cfg, workload, thresholds, ranges)
-    messages = tuple(Message(i, *row) for i, row in enumerate(rows))
+    messages = _Messages(tuple(rows))
     return SimulationTrace(strategy, messages, tuple(events), grid_set, answered)
 
 
@@ -348,7 +399,11 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
-    transmissions = ((m.medium, m.wireless_distance) for m in trace.messages)
+    messages = trace.messages
+    if type(messages) is _Messages:
+        transmissions = ((medium, dist) for _, _, _, medium, _, dist in messages._rows)
+    else:
+        transmissions = ((m.medium, m.wireless_distance) for m in messages)
     return _sum_costs(trace.strategy, transmissions, trace.compute_events, params)
 
 

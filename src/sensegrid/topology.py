@@ -63,7 +63,7 @@ class SensorNode:
     position: Position
 
     def __post_init__(self) -> None:
-        if not self.node_id:
+        if not isinstance(self.node_id, str) or not self.node_id:
             raise ConfigError("sensor id must be a non-empty string")
 
 
@@ -198,6 +198,8 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
     _require_finite(value, f"{path}.{key}")
+    if float(value) != value:  # an int beyond 2**53 that no float holds
+        raise ConfigError(f"{path}.{key}: not exactly representable as a float")
     return float(value)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -286,7 +287,69 @@ def test_compare_builds_no_message(testbed, built_messages):
     assert built_messages == []
     # the counter sees every message a trace holds
     trace = run_scenario(testbed, workload, FLAT)
-    assert len(built_messages) == len(trace.messages) > 0
+    messages = list(trace.messages)
+    assert len(built_messages) == len(messages) > 0
+
+
+def test_run_scenario_builds_no_message(testbed, built_messages):
+    # a trace keeps its transmission rows, so counting, pricing and
+    # serializing it build no message
+    workload = generate_workload(testbed, 20, 10)
+    for strategy in (QCPS, FLAT):
+        trace = run_scenario(testbed, workload, strategy)
+        assert len(trace.messages) > 0
+        cost_of(trace, testbed.cost_params)
+        serialize_trace(trace)
+    assert built_messages == []
+
+
+@pytest.mark.parametrize("strategy", [QCPS, FLAT])
+def test_trace_messages_act_as_the_tuple_of_numbered_rows(testbed, strategy):
+    workload = generate_workload(testbed, 6, 4)
+    rows = list(simulate._run(testbed, workload, strategy)[1])
+    expected = tuple(Message(i, *row) for i, row in enumerate(rows))
+    trace = run_scenario(testbed, workload, strategy)
+    messages = trace.messages
+    n = len(expected)
+    assert len(messages) == n > 6
+    assert bool(messages)
+    assert messages[0] == expected[0]
+    assert messages[-1] == expected[-1]
+    assert messages[-n] == expected[0]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            messages[index]
+    assert messages[:6] == expected[:6]
+    assert type(messages[:6]) is tuple
+    assert messages[5:-3:7] == expected[5:-3:7]
+    assert tuple(reversed(messages)) == tuple(reversed(expected))
+    assert expected[-1] in messages
+    assert Message(0, *rows[1]) not in messages
+    assert messages.index(expected[3]) == 3
+    assert messages.count(expected[3]) == 1
+    assert messages == expected
+    assert expected == messages
+    assert messages != expected[:-1]
+    assert expected[:-1] != messages
+    assert messages != expected[1:] + expected[:1]
+    assert messages != list(expected)
+    assert hash(messages) == hash(expected)
+    for copy in (messages, trace):
+        assert pickle.loads(pickle.dumps(copy, protocol=pickle.HIGHEST_PROTOCOL)) == copy
+    # an API-built trace of the same messages prices and serializes the same
+    api = dataclasses.replace(trace, messages=expected)
+    assert api == trace
+    assert cost_of(api, testbed.cost_params) == cost_of(trace, testbed.cost_params)
+    assert serialize_trace(api) == serialize_trace(trace)
+
+
+def test_trace_repr_shows_its_messages(testbed):
+    cfg = dataclasses.replace(testbed, duration_ticks=1)
+    trace = run_scenario(cfg, Workload(), QCPS)
+    messages = tuple(trace.messages)
+    assert repr(trace.messages) == repr(messages)
+    assert repr(trace) == repr(dataclasses.replace(trace, messages=messages))
+    assert "Message(msg_id=31, tick=0, " in repr(trace)
 
 
 def _cli_run(tmp_path, strategy, fmt, *args):

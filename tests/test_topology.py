@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -294,3 +295,46 @@ def test_distance_is_plain_sqrt_of_squares():
     b = Position(-4.5, 6.0, 0.125)
     dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
     assert distance(a, b) == math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+@pytest.mark.parametrize(
+    "node_id", [5, b"VS_1", ["VS_1"], None, ""], ids=["int", "bytes", "list", "none", "empty"]
+)
+def test_sensor_node_id_must_be_a_non_empty_string(node_id):
+    with pytest.raises(ConfigError, match=r"^sensor id must be a non-empty string$"):
+        SensorNode(node_id, SensorType.VISION, Position(0, 0, 0))
+
+
+def test_sensor_node_id_may_be_a_str_subclass():
+    class Name(str):
+        pass
+
+    node = SensorNode(Name("VS_1"), SensorType.VISION, Position(0, 0, 0))
+    assert node.node_id == "VS_1"
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, -(2**53 + 1)], ids=["positive", "negative"])
+def test_load_topology_rejects_an_integer_no_float_holds(value):
+    raw = _testbed_json(threshold=value)
+    with pytest.raises(
+        ConfigError, match=r"^config\.threshold: not exactly representable as a float$"
+    ):
+        load_topology(json.dumps(raw))
+    cfg = builtin_testbed()
+    moved = dataclasses.replace(cfg.sensors[0], position=Position(value, 0, 0))
+    cfg = dataclasses.replace(cfg, sensors=(moved, *cfg.sensors[1:]))
+    with pytest.raises(
+        ConfigError, match=r"^config\.sensors\[0\]\.x: not exactly representable as a float$"
+    ):
+        load_topology(dump_topology(cfg))
+
+
+@pytest.mark.parametrize("value", [2**53, 2**53 + 2, -(2**53 + 2)])
+def test_integers_a_float_holds_reload_exactly(value):
+    cfg = builtin_testbed()
+    moved = dataclasses.replace(cfg.sensors[0], position=Position(value, 0, 0))
+    cfg = dataclasses.replace(cfg, sensors=(moved, *cfg.sensors[1:]), threshold=abs(value))
+    reloaded = load_topology(dump_topology(cfg))
+    assert reloaded == cfg
+    assert reloaded.sensors[0].position.x == value
+    assert reloaded.threshold == abs(value)
