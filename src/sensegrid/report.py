@@ -8,11 +8,13 @@ A trace holds one message per transmission, hundreds of thousands in a
 large run, so ``serialize_trace`` does not build a dict per message for the
 recursive writer: it writes the top-level object itself and each message as
 one row from a fixed template. A trace from ``run_scenario`` keeps the
-transmission rows the strategy runners yielded, whose value types are fixed,
-so its rows are filled from those rows without building a ``Message``. The
-general path serves any other sequence of ``Message``, such as a trace built
-through the API: exact-type fast paths for str, int and float and the
-recursive writer for any other value. Either way the bytes equal
+(tick, block) items the strategy runners yielded, whose value types are
+fixed and whose blocks repeat, so each distinct block becomes one template
+with every name and distance already in place, and each item fills it with
+its message ids and tick, building no ``Message``. The general path serves
+any other sequence of ``Message``, such as a trace built through the API:
+exact-type fast paths for str, int and float and the recursive writer for
+any other value. Either way the bytes equal
 ``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict view
 kept in the tests as the reference, and the tests enforce it.
 """
@@ -160,14 +162,15 @@ def serialize_trace(trace: SimulationTrace) -> str:
     messages = trace.messages
     if messages:
         if type(messages) is _Messages:
-            rows = _runner_rows(messages._rows)
+            texts = _block_texts(messages._items)
         else:
             rows = _message_rows(messages)
+            texts = iter(lambda: ",\n".join(islice(rows, _ROWS_PER_CHUNK)), "")
         out.write("[\n")
-        for start in range(0, len(messages), _ROWS_PER_CHUNK):
-            if start:
+        for i, text in enumerate(texts):
+            if i:
                 out.write(",\n")
-            out.write(",\n".join(islice(rows, _ROWS_PER_CHUNK)))
+            out.write(text)
         out.write("\n  ]")
     else:
         out.write("[]")
@@ -187,18 +190,41 @@ class _JsonTexts(dict):
         return text
 
 
-def _runner_rows(rows: tuple[tuple, ...]):
-    """The message rows of a runner trace, from its transmission rows.
+class _TemplateTexts(_JsonTexts):
+    """The same texts with `%` doubled, to stand literally in a template."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = super().__missing__(value).replace("%", "%%")
+        return text
+
+
+def _block_texts(items):
+    """The message rows of a runner trace, one text per non-empty item.
 
     Their value types are fixed: ticks are ints, a message's id is its row
-    index, names are strs and distances floats. So the ints are written
-    directly and each name and distance is formatted once per call.
+    index, names are strs and distances floats. So each distinct block is
+    formatted once per call into a template of its rows, with a `%s` slot
+    for each row's id and tick, and an item fills it with interleaved
+    (id, tick) arguments.
     """
-    text = _JsonTexts()
-    for i, (tick, src, dst, medium, purpose, dist) in enumerate(rows):
-        yield _MESSAGE_ROW % (
-            text[dst], text[medium], i, text[purpose], text[src], tick, text[dist]
-        )
+    text = _TemplateTexts()
+    templates = {}  # id(block) -> template; the items keep each block alive
+    msg_id = 0
+    for tick, block in items:
+        n = len(block.rows)
+        if not n:
+            continue
+        template = templates.get(id(block))
+        if template is None:
+            template = templates[id(block)] = ",\n".join(
+                _MESSAGE_ROW
+                % (text[dst], text[medium], "%s", text[purpose], text[src], "%s", text[dist])
+                for src, dst, medium, purpose, dist in block.rows
+            )
+        args = [tick] * (2 * n)
+        args[::2] = range(msg_id, msg_id + n)
+        yield template % tuple(args)
+        msg_id += n
 
 
 def _message_rows(messages):

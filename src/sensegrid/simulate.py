@@ -16,19 +16,26 @@ attributed to node sites.
 
 Within a tick, events are processed as: reports, then queries, then
 requests, each in input order. Each strategy is one generator of
-transmission rows (tick, src, dst, medium, purpose, wireless distance) in
-that order, and a run's compute events fill as its rows are consumed.
-Traces are a pure function of (config, workload, strategy).
+`(tick, block)` items in that order: a block is an immutable tuple of
+transmission rows (src, dst, medium, purpose, wireless distance), all sent
+at the item's tick. Rows repeat, so blocks are built once and shared: qcps
+builds one report block per run and yields it every tick, flat one polling
+block per query and yields it once per window tick, and each query and
+request has a small block of its own. A run's compute events fill as its
+items are consumed. Traces are a pure function of (config, workload,
+strategy).
 
 `_run` hands out that stream and is the one place that checks the strategy,
 the config and the workload; everything else is a pass over it.
-`run_scenario` keeps the rows as they are: a runner trace's `messages` is a
-read-only sequence over them, and `msg_id` is a row's emission index, so a
-`Message` is built only when one is read.
-Costs are counts and sums, one pass with constant state: `cost_of` prices
-a trace (a runner trace straight from its rows), and `_price`, shared by
-`compare_strategies` and the CLI's `run`, prices the rows as they are
-generated, building no trace.
+`run_scenario` keeps the items as they are: a runner trace's `messages` is
+a read-only sequence over their rows, and `msg_id` is a row's emission
+index, so a `Message` is built only when one is read.
+Costs are counts and sums, one pass with constant state: each block carries
+its wireless distances, which are added in row order by `functools.reduce`
+(the same sequential `+` as a loop, so the floats are bit-identical).
+`cost_of` prices a trace (a runner trace straight from its blocks), and
+`_price`, shared by `compare_strategies` and the CLI's `run`, prices the
+items as they are generated, building no trace.
 
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
@@ -40,9 +47,15 @@ the estimators read the columns; it builds no `Reading` and no `Cloud`.
 
 from __future__ import annotations
 
+import math
+import operator
 import statistics
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .cloud import (
     PAYLOAD_TYPE,
@@ -103,38 +116,72 @@ class ComputeEvent:
     op_count: int = 1
 
 
-class _Messages(Sequence):
-    """A runner trace's messages, kept as the rows `_run` yielded.
+class _Block(NamedTuple):
+    """Transmission rows (src, dst, medium, purpose, distance) sent together
+    at one tick, and the wireless distances among them in row order. Build
+    one with `_block`; a stream yields the same block at every tick that
+    repeats it."""
 
-    Row i is (tick, src, dst, medium, purpose, distance) and its message is
-    `Message(i, *row)`, built only when read: indexing, iteration and
-    slicing (which returns a tuple) build messages, `len` builds none. It
-    equals, hashes and prints as the tuple of its messages.
+    rows: tuple[tuple, ...]
+    wireless: tuple[float, ...]
+
+
+def _block(rows: Iterable[tuple]) -> _Block:
+    rows = tuple(rows)
+    return _Block(rows, tuple(row[4] for row in rows if row[2] == WIRELESS))
+
+
+class _Messages(Sequence):
+    """A runner trace's messages, kept as the (tick, block) items `_run`
+    yielded.
+
+    Message i is `Message(i, tick, *row)` for the i-th row in item order,
+    built only when read: indexing, iteration and slicing (which returns a
+    tuple) build messages, `len` builds none. It equals, hashes and prints
+    as the tuple of its messages, whatever its block structure; a pickle
+    keeps the items, each shared block once.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_items", "_ends")
 
-    def __init__(self, rows: tuple[tuple, ...]) -> None:
-        self._rows = rows
+    def __init__(self, items: tuple[tuple[int, _Block], ...]) -> None:
+        self._items = items
+        # _ends[k]: rows in items 0..k, so item k holds ids _ends[k-1].._ends[k]-1
+        self._ends = tuple(accumulate(len(block.rows) for _, block in items))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, index):
-        ids = range(len(self._rows))[index]
+        ids = range(len(self))[index]
         if isinstance(index, slice):
-            return tuple(Message(i, *self._rows[i]) for i in ids)
-        return Message(ids, *self._rows[ids])
+            return tuple(self._message(i) for i in ids)
+        return self._message(ids)
+
+    def _message(self, i: int) -> Message:
+        # the first item ending past i holds it, so zero-length items are
+        # skipped; i - end counts back from that item's last row
+        k = bisect_right(self._ends, i)
+        tick, block = self._items[k]
+        return Message(i, tick, *block.rows[i - self._ends[k]])
+
+    def _rows(self):
+        """(tick, src, dst, medium, purpose, distance) per message, in order."""
+        for tick, block in self._items:
+            for row in block.rows:
+                yield (tick, *row)
 
     def __iter__(self):
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(self._rows()):
             yield Message(i, *row)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _Messages):
-            return self._rows == other._rows
+            return len(self) == len(other) and all(
+                map(operator.eq, self._rows(), other._rows())
+            )
         if isinstance(other, tuple):
-            return len(other) == len(self._rows) and tuple(self) == other
+            return len(other) == len(self) and tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -144,7 +191,7 @@ class _Messages(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _Messages, (self._rows,)
+        return _Messages, (self._items,)
 
 
 @dataclass(frozen=True)
@@ -205,15 +252,15 @@ def route_sensor_request(
     hop = distance(
         sensors_by_id[requester].position, sensors_by_id[coordinator].position
     )
-    legs = _request_legs(tick, requester, coordinator, hop)
-    return [Message(first_msg_id + i, *row) for i, row in enumerate(legs)]
+    legs = _request_legs(requester, coordinator, hop)
+    return [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
 
 
-def _request_legs(tick: int, requester: str, coordinator: str, hop: float):
-    yield tick, requester, coordinator, WIRELESS, "request", hop
-    yield tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "request", 0.0
-    yield tick, CLOUD_SITE, coordinator, INFRASTRUCTURE, "response", 0.0
-    yield tick, coordinator, requester, WIRELESS, "response", hop
+def _request_legs(requester: str, coordinator: str, hop: float):
+    yield requester, coordinator, WIRELESS, "request", hop
+    yield coordinator, CLOUD_SITE, INFRASTRUCTURE, "request", 0.0
+    yield CLOUD_SITE, coordinator, INFRASTRUCTURE, "response", 0.0
+    yield coordinator, requester, WIRELESS, "response", hop
 
 
 def route_user_query(
@@ -228,13 +275,13 @@ def route_user_query(
     one cloud computation per requested service."""
     events: list[ComputeEvent] = []
     legs = _query_legs(query, tick, events)
-    messages = [Message(first_msg_id + i, *row) for i, row in enumerate(legs)]
+    messages = [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
     return messages, events, answer_centric_query(query, cloud, segment_length, thresholds)
 
 
 def _query_legs(query: CentricQuery, tick: int, events: list[ComputeEvent]):
-    yield tick, USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0
-    yield tick, CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0
+    yield USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0
+    yield CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0
     events.extend(ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services)
 
 
@@ -307,19 +354,20 @@ def run_scenario(
 ) -> SimulationTrace:
     """Execute one strategy over the workload and return the full trace,
     with the query answers, which both strategies share. The trace keeps
-    the transmission rows and builds no message until one is read."""
-    grid_set, rows, events = _run(cfg, workload, strategy)
+    the transmission blocks and builds no message until one is read."""
+    grid_set, items, events = _run(cfg, workload, strategy)
     answered = _answer_queries(cfg, workload, thresholds, ranges)
-    messages = _Messages(tuple(rows))
+    messages = _Messages(tuple(items))
     return SimulationTrace(strategy, messages, tuple(events), grid_set, answered)
 
 
 def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
-    """(grid set, transmission rows, compute events) of one strategy.
+    """(grid set, transmission items, compute events) of one strategy.
 
-    The rows are a generator of (tick, src, dst, medium, purpose, distance)
-    in emission order; infrastructure rows carry 0.0. The event list fills
-    as the rows are consumed, so read it only after the last row.
+    The items are a generator of (tick, block) in emission order; each row
+    of a block is (src, dst, medium, purpose, distance), and infrastructure
+    rows carry 0.0. The event list fills as the items are consumed, so read
+    it only after the last item.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
@@ -327,6 +375,7 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
         raise ConfigError(f"cfg: expected a ScenarioConfig, got {type(cfg).__name__}")
     if not isinstance(workload, Workload):
         raise WorkloadError(f"workload: expected a Workload, got {type(workload).__name__}")
+    _check_extent(cfg.sensors)
     validate_workload(workload, cfg)
     events: list[ComputeEvent] = []
     if strategy == QCPS:
@@ -335,27 +384,50 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     return None, _flat_legs(cfg, workload, events), events
 
 
+def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
+    """Reject sensors whose bounding box has no finite diagonal.
+
+    Every distance a run pays (sensor to coordinator, requester to target,
+    the centroid gateway to a sensor) joins two points of that box, and
+    distance is monotone in the coordinate gaps, so a finite diagonal keeps
+    every hop, and so every cost, finite.
+    """
+    if not sensors:
+        return
+    corners = [
+        Position(*(pick(getattr(s.position, axis) for s in sensors) for axis in "xyz"))
+        for pick in (min, max)
+    ]
+    try:
+        diagonal = distance(*corners)
+    except ConfigError:
+        diagonal = math.inf
+    if diagonal == math.inf:
+        raise ConfigError("sensors: positions too far apart; their distances overflow a float")
+
+
 def _qcps_legs(
     cfg: ScenarioConfig, workload: Workload, grids: GridSet, events: list[ComputeEvent]
 ):
     by_id = cfg.by_id()
     uplink = {}  # node id -> (its coordinator, radio distance to it)
+    reports = []  # every sensor's report and its coordinator's forward
     for sensor in cfg.sensors:
         coordinator = grids.coordinator_of(sensor.node_id)
-        uplink[sensor.node_id] = (
-            coordinator, distance(sensor.position, by_id[coordinator].position)
-        )
+        hop = distance(sensor.position, by_id[coordinator].position)
+        uplink[sensor.node_id] = (coordinator, hop)
+        reports.append((sensor.node_id, coordinator, WIRELESS, "report", hop))
+        reports.append((coordinator, CLOUD_SITE, INFRASTRUCTURE, "report", 0.0))
+    report_block = _block(reports)
     queries_at, requests_at = _events_by_tick(workload)
 
     for tick in _ticks_to_process(cfg, workload):
         if tick < cfg.duration_ticks:
-            for node_id, (coordinator, hop) in uplink.items():
-                yield tick, node_id, coordinator, WIRELESS, "report", hop
-                yield tick, coordinator, CLOUD_SITE, INFRASTRUCTURE, "report", 0.0
+            yield tick, report_block
         for query in queries_at.get(tick, ()):
-            yield from _query_legs(query, tick, events)
+            yield tick, _block(_query_legs(query, tick, events))
         for requester, _target in requests_at.get(tick, ()):
-            yield from _request_legs(tick, requester, *uplink[requester])
+            yield tick, _block(_request_legs(requester, *uplink[requester]))
             events.append(ComputeEvent(tick, CLOUD_SITE))
 
 
@@ -382,18 +454,22 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
             relevant_types = [
                 SERVICE_SENSOR_TYPE[service] for service in query.requested_services
             ]
-            polled = [s.node_id for s in cfg.sensors if s.sensor_type in relevant_types]
+            polling = []
+            for s in cfg.sensors:
+                if s.sensor_type in relevant_types:
+                    hop = gateway_distance[s.node_id]
+                    polling.append((GATEWAY_SITE, s.node_id, WIRELESS, "request", hop))
+                    polling.append((s.node_id, GATEWAY_SITE, WIRELESS, "response", hop))
             start, end = query.window
-            for _window_tick in range(start, end + 1):
-                for node_id in polled:
-                    hop = gateway_distance[node_id]
-                    yield tick, GATEWAY_SITE, node_id, WIRELESS, "request", hop
-                    yield tick, node_id, GATEWAY_SITE, WIRELESS, "response", hop
+            # the same round trips once per tick of the window
+            yield from repeat((tick, _block(polling)), end - start + 1)
             events.extend(ComputeEvent(tick, GATEWAY_SITE) for _ in query.requested_services)
         for requester, target in requests_at.get(tick, ()):
             hop = distance(by_id[requester].position, by_id[target].position)
-            yield tick, requester, target, WIRELESS, "request", hop
-            yield tick, target, requester, WIRELESS, "response", hop
+            yield tick, _block((
+                (requester, target, WIRELESS, "request", hop),
+                (target, requester, WIRELESS, "response", hop),
+            ))
             events.append(ComputeEvent(tick, target))
 
 
@@ -401,36 +477,36 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
     messages = trace.messages
     if type(messages) is _Messages:
-        transmissions = ((medium, dist) for _, _, _, medium, _, dist in messages._rows)
-    else:
-        transmissions = ((m.medium, m.wireless_distance) for m in messages)
-    return _sum_costs(trace.strategy, transmissions, trace.compute_events, params)
+        items = messages._items
+    else:  # an API-built trace is priced as one block of its messages
+        rows = ((m.src, m.dst, m.medium, m.purpose, m.wireless_distance) for m in messages)
+        items = ((None, _block(rows)),)
+    return _sum_costs(trace.strategy, items, trace.compute_events, params)
 
 
 def _price(cfg: ScenarioConfig, workload: Workload, strategy: str):
-    """(grid set, costs) of one strategy: one pass over its rows, no trace."""
-    grid_set, rows, events = _run(cfg, workload, strategy)
-    transmissions = ((medium, dist) for _, _, _, medium, _, dist in rows)
-    return grid_set, _sum_costs(strategy, transmissions, events, cfg.cost_params)
+    """(grid set, costs) of one strategy: one pass over its items, no trace."""
+    grid_set, items, events = _run(cfg, workload, strategy)
+    return grid_set, _sum_costs(strategy, items, events, cfg.cost_params)
 
 
 def _sum_costs(
     strategy: str,
-    transmissions: Iterable[tuple[str, float]],
+    items: Iterable[tuple[object, _Block]],
     compute_events: Iterable[ComputeEvent],
     params: CostParams,
 ) -> CostReport:
-    """One pass over (medium, distance) pairs in emission order, then the
-    compute events; both strategies and both callers price runs here."""
+    """One pass over the (tick, block) items in emission order, then the
+    compute events; both strategies and both callers price runs here. Each
+    block's wireless distances are added in row order, one `+` at a time."""
     total_wireless = 0.0
     wireless_count = 0
     infra_count = 0
-    for medium, dist in transmissions:
-        if medium == WIRELESS:
-            wireless_count += 1
-            total_wireless += dist
-        else:
-            infra_count += 1
+    for _, block in items:
+        wireless = block.wireless
+        wireless_count += len(wireless)
+        infra_count += len(block.rows) - len(wireless)
+        total_wireless = reduce(operator.add, wireless, total_wireless)
     cloud_ops = 0
     node_ops = 0
     for event in compute_events:
@@ -467,7 +543,7 @@ def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostCompariso
     """Run both strategies on the identical workload; delta is qcps minus flat,
     so a negative entry means the grid strategy reduced that metric.
 
-    Costs are one pass over each strategy's transmission rows and compute
+    Costs are one pass over each strategy's transmission blocks and compute
     events, so this builds no message and no trace. Query answers are
     strategy-independent and do not enter the costs, so it computes none;
     `run_scenario` answers the queries once per run."""

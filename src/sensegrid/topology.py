@@ -163,12 +163,16 @@ def distance(a: Position, b: Position) -> float:
     Position already guarantees finite components. The naive sqrt-of-squares
     form is used deliberately: every distance in grids, elections and costs
     rounds the same way, and it never falls below sqrt(dx*dx), which the
-    grid sweep relies on.
+    grid sweep relies on. Float squares that overflow give inf; integer
+    squares no float holds raise ConfigError.
     """
     dx = a.x - b.x
     dy = a.y - b.y
     dz = a.z - b.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    try:
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+    except OverflowError:
+        raise ConfigError("distance: too large for a float") from None
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,29 @@ def test_run_rejects_an_infinite_threshold(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("compare", "--format", "json"), ("run", "--strategy", "flat"), ("run", "--strategy", "qcps")],
+)
+def test_overflowing_distances_exit_2_without_inf(tmp_path, command):
+    # finite coordinates whose distance overflows a float are rejected before
+    # any cost is priced, so no report holds a bare inf
+    raw = json.loads(dump_topology(builtin_testbed()))
+    for sensor in raw["sensors"]:
+        if sensor["id"] in ("VS_1", "VS_2"):
+            sensor["x"] = 1e300 if sensor["id"] == "VS_1" else -1e300
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps(raw))
+    result = run_cli(
+        command[0], "--topology", str(config),
+        "--ticks", "2", "--queries", "1", "--requests", "0", *command[1:],
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: sensors: ")
+    assert "Traceback" not in result.stderr
+    assert "inf" not in result.stdout
+
+
 def _testbed_with_sensor_type(sensor_type):
     raw = json.loads(dump_topology(builtin_testbed()))
     raw["sensors"][0]["type"] = sensor_type

@@ -32,6 +32,7 @@ from sensegrid import (
     dump_topology,
     form_grids,
     generate_workload,
+    load_topology,
     route_sensor_request,
     route_user_query,
     run_scenario,
@@ -306,7 +307,11 @@ def test_run_scenario_builds_no_message(testbed, built_messages):
 @pytest.mark.parametrize("strategy", [QCPS, FLAT])
 def test_trace_messages_act_as_the_tuple_of_numbered_rows(testbed, strategy):
     workload = generate_workload(testbed, 6, 4)
-    rows = list(simulate._run(testbed, workload, strategy)[1])
+    rows = [
+        (tick, *row)
+        for tick, block in simulate._run(testbed, workload, strategy)[1]
+        for row in block.rows
+    ]
     expected = tuple(Message(i, *row) for i, row in enumerate(rows))
     trace = run_scenario(testbed, workload, strategy)
     messages = trace.messages
@@ -845,3 +850,170 @@ def test_message_counts_match_closed_forms_for_api_windows(testbed, case):
     assert len(run_scenario(cfg, workload, FLAT).messages) == flat_message_count(
         cfg, workload
     )
+
+
+def _unit_cross(sensor_type, prefix, far):
+    """A coordinator at the origin with eight members about 1.0 away, and two
+    sensors of another type 2.5e16 apart, beyond which adding 1.0 is lost."""
+    units = [
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0)
+    ]
+    sensors = [SensorNode(f"{prefix}_0", sensor_type, Position(0.0, 0.0, 0.0))]
+    sensors += [
+        SensorNode(f"{prefix}_{i + 1}", sensor_type, Position(*map(float, unit)))
+        for i, unit in enumerate(units)
+    ]
+    sensors += [
+        SensorNode("FAR_0", far, Position(-1.25e16, 0.0, 0.0)),
+        SensorNode("FAR_1", far, Position(1.25e16, 0.0, 0.0)),
+    ]
+    return ScenarioConfig(sensors=tuple(sensors), threshold=3e16, duration_ticks=1)
+
+
+def test_pricing_keeps_the_emission_order_of_every_hop(tmp_path):
+    # hops of about 1e16 and 1.0 mixed, so any other summation order gives a
+    # different float; every pricing path must add them one by one in order
+    cfg = _unit_cross(SensorType.VISION, "A", SensorType.SPEED)
+    topology = tmp_path / "mixed.json"
+    topology.write_text(dump_topology(cfg), encoding="utf-8")
+    workload = generate_workload(cfg, 2, 2)
+    comparison = compare_strategies(cfg, workload)
+    for strategy in (QCPS, FLAT):
+        trace = run_scenario(cfg, workload, strategy)
+        expected = resum_costs(trace)
+        total = expected["total_wireless_distance"]
+        reversed_total = 0.0
+        for message in reversed(trace.messages):
+            if message.medium == WIRELESS:
+                reversed_total += message.wireless_distance
+        assert reversed_total != total
+        for priced in (cost_of(trace, cfg.cost_params), getattr(comparison, strategy)):
+            assert priced.total_wireless_distance.hex() == total.hex()
+            for metric, value in expected.items():
+                assert getattr(priced, metric) == value
+        csv = _cli_run(tmp_path, strategy, "csv", "--topology", str(topology),
+                       "--queries", "2", "--requests", "2")
+        row = dict(zip(*(line.split(",") for line in csv.splitlines())))
+        assert row["total_wireless_distance"] == format(total, ".6f")
+        assert row["total_wireless_distance"] != format(reversed_total, ".6f")
+
+
+ODD_IDS = ("per%cent", "fmt%s", "%%d", 'q"uote', "Zürich", "東京", "%(x)s")
+
+
+@pytest.mark.parametrize("strategy", [QCPS, FLAT])
+def test_serialize_trace_matches_oracle_for_odd_sensor_ids(strategy):
+    # names are formatted into a per-block `%` template, so `%` must stand
+    # literally and JSON escapes must survive
+    sensors = tuple(
+        SensorNode(node_id, list(SensorType)[i % 4], Position(i * 7.0, (i * 13) % 50, i % 3))
+        for i, node_id in enumerate(ODD_IDS + tuple(f"N_{i}" for i in range(9)))
+    )
+    cfg = ScenarioConfig(sensors=sensors, threshold=30.0, duration_ticks=6)
+    workload = Workload(
+        queries=((2, CentricQuery("Q%s", ALL, (0, 2))), (5, CentricQuery("Q2", (ENV,), (3, 7)))),
+        requests=((1, "fmt%s", 'q"uote'), (4, "東京", "%%d")),
+    )
+    trace = run_scenario(cfg, workload, strategy)
+    assert {m.src for m in trace.messages} >= set(ODD_IDS)
+    assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
+
+
+ZERO_LENGTH_CASES = {
+    # flat polls no sensor for a service whose type has none
+    "flat_service_without_sensors": (
+        FLAT,
+        lambda s: s.sensor_type is not SensorType.SPEED,
+        _queries((1, (SPEED,), (0, 2)), (2, ALL, (1, 2)), (3, (SPEED, ENV), (0, 0))),
+    ),
+    # qcps with no sensors of one type, and with none at all: every report
+    # block of the second run is empty
+    "qcps_type_without_sensors": (
+        QCPS, lambda s: s.sensor_type is not SensorType.VISION, _queries((1, ALL, (0, 1)))
+    ),
+    "qcps_without_sensors": (
+        QCPS, lambda s: False, _queries((1, ALL, (0, 1)), (2, (ENV,), (0, 2)))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_LENGTH_CASES))
+def test_zero_length_blocks_keep_the_messages_aligned(testbed, case):
+    strategy, keep, workload = ZERO_LENGTH_CASES[case]
+    cfg = dataclasses.replace(
+        testbed, sensors=tuple(filter(keep, testbed.sensors)), duration_ticks=4
+    )
+    items = tuple(simulate._run(cfg, workload, strategy)[1])
+    rows = [(tick, *row) for tick, block in items for row in block.rows]
+    expected = tuple(Message(i, *row) for i, row in enumerate(rows))
+    trace = run_scenario(cfg, workload, strategy)
+    messages = trace.messages
+    if not cfg.sensors or strategy == FLAT:
+        assert any(not block.rows for _, block in items)
+    n = len(expected)
+    assert len(messages) == n > 0
+    assert tuple(messages) == expected
+    assert [messages[i] for i in range(-n, n)] == list(expected + expected)
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            messages[index]
+    for window in (slice(None), slice(1, -1), slice(None, None, -2), slice(n - 3, n + 5)):
+        assert messages[window] == expected[window]
+    assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
+
+
+def test_messages_equal_row_wise_whatever_their_blocks():
+    # the same rows split into blocks differently are the same messages
+    rows = [
+        (0, "a", "b", WIRELESS, "request", 1.5),
+        (0, "b", "a", WIRELESS, "response", 1.5),
+        (1, "a", CLOUD_SITE, INFRASTRUCTURE, "report", 0.0),
+    ]
+    whole = simulate._Messages(
+        ((0, simulate._block(row[1:] for row in rows[:2])), (1, simulate._block([rows[2][1:]])))
+    )
+    split = simulate._Messages(
+        tuple((tick, simulate._block([row])) for tick, *row in rows)
+        + ((1, simulate._block(())),)
+    )
+    assert whole == split and split == whole
+    assert hash(whole) == hash(split)
+    assert repr(whole) == repr(split)
+    assert whole != simulate._Messages(split._items[:2])
+    empty = simulate._Messages(())
+    assert len(empty) == 0 and not empty and tuple(empty) == ()
+    assert empty == simulate._Messages(((3, simulate._block(())),))
+
+
+@pytest.mark.parametrize("gap", [1e300, 2**1000, 1e154], ids=["float", "int", "just_over"])
+def test_runs_reject_sensors_whose_distances_overflow(testbed, gap):
+    # the layout itself is valid config; only pricing it would overflow
+    sensors = list(testbed.sensors)
+    for i, x in ((0, gap), (1, -gap)):
+        sensors[i] = dataclasses.replace(sensors[i], position=Position(x, 0, 0))
+    cfg = dataclasses.replace(testbed, sensors=tuple(sensors), duration_ticks=2)
+    assert load_topology(dump_topology(cfg)) == cfg
+    workload = generate_workload(cfg, 1, 1)
+    for price in (
+        lambda: compare_strategies(cfg, workload),
+        lambda: run_scenario(cfg, workload, QCPS),
+        lambda: run_scenario(cfg, workload, FLAT),
+    ):
+        with pytest.raises(ConfigError, match=r"^sensors: "):
+            price()
+
+
+def test_runs_price_sensors_just_inside_a_float():
+    # a bounding-box diagonal of about 1.3e154 still squares to a finite float
+    cfg = _unit_cross(SensorType.VISION, "A", SensorType.SPEED)
+    sensors = cfg.sensors[:-2] + tuple(
+        dataclasses.replace(s, position=Position(x, 0.0, 0.0))
+        for s, x in zip(cfg.sensors[-2:], (-6.5e153, 6.5e153))
+    )
+    cfg = dataclasses.replace(cfg, sensors=sensors, threshold=1e155)
+    workload = generate_workload(cfg, 1, 1)
+    comparison = compare_strategies(cfg, workload)
+    for strategy in (QCPS, FLAT):
+        report_ = getattr(comparison, strategy)
+        assert report_.total_wireless_distance > 1e154
+        assert report_.monetized_total < float("inf")

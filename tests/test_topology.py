@@ -36,6 +36,13 @@ def test_distance_identical_positions_is_zero():
     assert distance(p, p) == 0.0
 
 
+def test_distance_rejects_an_integer_gap_no_float_holds():
+    with pytest.raises(ConfigError, match=r"^distance: too large for a float$"):
+        distance(Position(10**300, 0, 0), Position(0, 0, 0))
+    # float squares still overflow to inf, which grid formation relies on
+    assert distance(Position(1e300, 0, 0), Position(-1e300, 0, 0)) == math.inf
+
+
 def test_distance_rejects_non_finite():
     with pytest.raises(ConfigError):
         Position(float("nan"), 0, 0)
