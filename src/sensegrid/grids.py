@@ -16,6 +16,7 @@ from .topology import SensorNode, SensorType, distance
 
 MEDOID = "medoid"
 OVERRIDDEN = "overridden"
+_TOO_FAR = "sensors: positions too far apart; their distances overflow a float"
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,11 @@ def form_grids(
                 dx = q.x - p.x
                 # distance() >= sqrt(fl(dx*dx)), even when the squares underflow,
                 # and dx only grows along the sweep: no later sensor can join
-                if math.sqrt(dx * dx) >= threshold:
-                    break
+                try:
+                    if math.sqrt(dx * dx) >= threshold:
+                        break
+                except OverflowError:  # an integer gap no float holds
+                    raise ConfigError(_TOO_FAR) from None
                 if distance(p, q) < threshold:
                     uf.union(indices[a], indices[b])
 

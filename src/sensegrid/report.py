@@ -4,26 +4,23 @@ Reports must be byte-identical across runs and platforms, so JSON is
 emitted by a small writer of our own: keys sorted, floats fixed at six
 decimal places, no locale or dict-order dependence anywhere.
 
-A trace holds one message per transmission, hundreds of thousands in a
-large run, so ``serialize_trace`` does not build a dict per message for the
-recursive writer: it writes the top-level object itself and each message as
-one row from a fixed template. A trace from ``run_scenario`` keeps the
-(tick, block) items the strategy runners yielded, whose value types are
-fixed and whose blocks repeat, so each distinct block becomes one template
-with every name and distance already in place, and each item fills it with
-its message ids and tick, building no ``Message``. The general path serves
-any other sequence of ``Message``, such as a trace built through the API:
-exact-type fast paths for str, int and float and the recursive writer for
-any other value. Either way the bytes equal
-``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict view
-kept in the tests as the reference, and the tests enforce it.
+A trace from ``run_scenario`` holds one message per transmission, hundreds
+of thousands in a large run, so ``serialize_trace`` does not build a dict
+per message for it. It keeps the (tick, block) items the strategy runners
+yielded, whose value types are fixed and whose blocks repeat, so each
+distinct block becomes one template with every name and distance already
+in place, and each item fills it with its message ids and tick, building
+no ``Message``. Every other trace, such as one built through the API, goes
+through the canonical writer one dict per message, whatever its values.
+Either way the bytes equal ``canonical_json(trace_dict(trace))``, where
+``trace_dict`` is the dict view kept in the tests as the reference, and the
+tests enforce it.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from itertools import islice
 
 from .cloud import EstimationReport
 from .grids import GridSet
@@ -139,7 +136,6 @@ _MESSAGE_ROW = (
     '      "wireless_distance": %s\n'
     "    }"
 )
-_ROWS_PER_CHUNK = 4096  # rows joined at a time, so no second full copy exists
 
 
 def serialize_trace(trace: SimulationTrace) -> str:
@@ -160,20 +156,30 @@ def serialize_trace(trace: SimulationTrace) -> str:
     _write_canonical(grids, out, 1)
     out.write(',\n  "messages": ')
     messages = trace.messages
-    if messages:
-        if type(messages) is _Messages:
-            texts = _block_texts(messages._items)
-        else:
-            rows = _message_rows(messages)
-            texts = iter(lambda: ",\n".join(islice(rows, _ROWS_PER_CHUNK)), "")
+    if type(messages) is _Messages and messages:
         out.write("[\n")
-        for i, text in enumerate(texts):
+        for i, text in enumerate(_block_texts(messages._items)):
             if i:
                 out.write(",\n")
             out.write(text)
         out.write("\n  ]")
     else:
-        out.write("[]")
+        _write_canonical(
+            [
+                {
+                    "msg_id": m.msg_id,
+                    "tick": m.tick,
+                    "src": m.src,
+                    "dst": m.dst,
+                    "medium": m.medium,
+                    "purpose": m.purpose,
+                    "wireless_distance": m.wireless_distance,
+                }
+                for m in messages
+            ],
+            out,
+            1,
+        )
     out.write(',\n  "reports": ')
     _write_canonical(_answered_list(trace.answered), out, 1)
     out.write(',\n  "strategy": ')
@@ -182,19 +188,13 @@ def serialize_trace(trace: SimulationTrace) -> str:
     return out.getvalue()
 
 
-class _JsonTexts(dict):
-    """The JSON text of each name (a str) or distance (a float), made once."""
+class _TemplateTexts(dict):
+    """The JSON text of each name (a str) or distance (a float), made once,
+    with `%` doubled to stand literally in a template."""
 
     def __missing__(self, value) -> str:
-        text = self[value] = json.dumps(value) if isinstance(value, str) else _json_float(value)
-        return text
-
-
-class _TemplateTexts(_JsonTexts):
-    """The same texts with `%` doubled, to stand literally in a template."""
-
-    def __missing__(self, value) -> str:
-        text = self[value] = super().__missing__(value).replace("%", "%%")
+        text = json.dumps(value) if isinstance(value, str) else _json_float(value)
+        text = self[value] = text.replace("%", "%%")
         return text
 
 
@@ -225,36 +225,6 @@ def _block_texts(items):
         args[::2] = range(msg_id, msg_id + n)
         yield template % tuple(args)
         msg_id += n
-
-
-def _message_rows(messages):
-    """The message rows of any sequence of `Message`, whatever its values:
-    exact str, int and float take fast paths and the rest (bools, str
-    subclasses, nested values) the recursive writer at the row's depth."""
-    names = _JsonTexts()
-
-    def _scalar(value) -> str:
-        kind = type(value)
-        if kind is str:
-            return names[value]
-        if kind is int:
-            return str(value)
-        if kind is float:
-            return _json_float(value)
-        nested = io.StringIO()
-        _write_canonical(value, nested, 3)
-        return nested.getvalue()
-
-    for m in messages:
-        yield _MESSAGE_ROW % (
-            _scalar(m.dst),
-            _scalar(m.medium),
-            _scalar(m.msg_id),
-            _scalar(m.purpose),
-            _scalar(m.src),
-            _scalar(m.tick),
-            _scalar(m.wireless_distance),
-        )
 
 
 def build_run_report(

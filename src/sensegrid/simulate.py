@@ -19,11 +19,11 @@ requests, each in input order. Each strategy is one generator of
 `(tick, block)` items in that order: a block is an immutable tuple of
 transmission rows (src, dst, medium, purpose, wireless distance), all sent
 at the item's tick. Rows repeat, so blocks are built once and shared: qcps
-builds one report block per run and yields it every tick, flat one polling
-block per query and yields it once per window tick, and each query and
-request has a small block of its own. A run's compute events fill as its
-items are consumed. Traces are a pure function of (config, workload,
-strategy).
+builds one report block per run and yields it every tick and one query
+block that every query shares, flat one polling block per query and yields
+it once per window tick, and each request has a small block of its own. A
+run's compute events fill as its items are consumed. Traces are a pure
+function of (config, workload, strategy).
 
 `_run` hands out that stream and is the one place that checks the strategy,
 the config and the workload; everything else is a pass over it.
@@ -68,7 +68,7 @@ from .cloud import (
     answer_centric_query,
 )
 from .errors import ConfigError, RoutingError, WorkloadError
-from .grids import GridSet, form_grids
+from .grids import _TOO_FAR, GridSet, form_grids
 from .topology import (
     CLOUD_SITE,
     GATEWAY_SITE,
@@ -273,16 +273,15 @@ def route_user_query(
 ) -> tuple[list[Message], list[ComputeEvent], EstimationReport]:
     """The qcps path for a user query: two infrastructure messages framing
     one cloud computation per requested service."""
-    events: list[ComputeEvent] = []
-    legs = _query_legs(query, tick, events)
-    messages = [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
+    messages = [Message(first_msg_id + i, tick, *row) for i, row in enumerate(_QUERY_ROWS)]
+    events = [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
     return messages, events, answer_centric_query(query, cloud, segment_length, thresholds)
 
 
-def _query_legs(query: CentricQuery, tick: int, events: list[ComputeEvent]):
-    yield USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0
-    yield CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0
-    events.extend(ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services)
+_QUERY_ROWS = (
+    (USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0),
+    (CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0),
+)
 
 
 def _ticks_to_process(cfg: ScenarioConfig, workload: Workload) -> range | list[int]:
@@ -403,7 +402,7 @@ def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
     except ConfigError:
         diagonal = math.inf
     if diagonal == math.inf:
-        raise ConfigError("sensors: positions too far apart; their distances overflow a float")
+        raise ConfigError(_TOO_FAR)
 
 
 def _qcps_legs(
@@ -419,13 +418,15 @@ def _qcps_legs(
         reports.append((sensor.node_id, coordinator, WIRELESS, "report", hop))
         reports.append((coordinator, CLOUD_SITE, INFRASTRUCTURE, "report", 0.0))
     report_block = _block(reports)
+    query_block = _block(_QUERY_ROWS)
     queries_at, requests_at = _events_by_tick(workload)
 
     for tick in _ticks_to_process(cfg, workload):
         if tick < cfg.duration_ticks:
             yield tick, report_block
         for query in queries_at.get(tick, ()):
-            yield tick, _block(_query_legs(query, tick, events))
+            events.extend(ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services)
+            yield tick, query_block
         for requester, _target in requests_at.get(tick, ()):
             yield tick, _block(_request_legs(requester, *uplink[requester]))
             events.append(ComputeEvent(tick, CLOUD_SITE))
@@ -498,7 +499,9 @@ def _sum_costs(
 ) -> CostReport:
     """One pass over the (tick, block) items in emission order, then the
     compute events; both strategies and both callers price runs here. Each
-    block's wireless distances are added in row order, one `+` at a time."""
+    block's wireless distances are added in row order, one `+` at a time.
+    A price whose cost of a finite quantity overflows a float, or a total
+    that does, raises a `ConfigError` naming it."""
     total_wireless = 0.0
     wireless_count = 0
     infra_count = 0
@@ -514,11 +517,19 @@ def _sum_costs(
             cloud_ops += event.op_count
         else:
             node_ops += event.op_count
-    monetized = (
-        params.wireless_cost_per_unit_distance * total_wireless
-        + params.infra_message_cost * infra_count
-        + params.computation_op_cost * (cloud_ops + node_ops)
-    )
+    quantities = {
+        "wireless_cost_per_unit_distance": total_wireless,
+        "infra_message_cost": infra_count,
+        "computation_op_cost": cloud_ops + node_ops,
+    }
+    products = []
+    for name, quantity in quantities.items():
+        products.append(getattr(params, name) * quantity)
+        if math.isfinite(quantity) and not math.isfinite(products[-1]):
+            raise ConfigError(f"cost_params.{name}: its cost overflows a float")
+    monetized = products[0] + products[1] + products[2]
+    if not math.isfinite(monetized) and all(map(math.isfinite, products)):
+        raise ConfigError("cost_params: the monetized total overflows a float")
     return CostReport(
         strategy=strategy,
         total_wireless_distance=total_wireless,

@@ -1,10 +1,14 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sensegrid import builtin_testbed, dump_topology
+from sensegrid import builtin_testbed, cli, dump_topology
 
 
 def run_cli(*args, cwd=None):
@@ -92,6 +96,25 @@ def test_overflowing_distances_exit_2_without_inf(tmp_path, command):
     assert result.stderr.startswith("error: sensors: ")
     assert "Traceback" not in result.stderr
     assert "inf" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "command", [("compare", "--format", "json"), ("run", "--strategy", "qcps")]
+)
+def test_overflowing_prices_exit_2_without_inf(tmp_path, command):
+    # every distance is finite, but a unit price times the run's total is not
+    raw = json.loads(dump_topology(builtin_testbed()))
+    raw["cost_params"]["wireless_cost_per_unit_distance"] = 1e306
+    config = tmp_path / "pricey.json"
+    config.write_text(json.dumps(raw))
+    result = run_cli(
+        command[0], "--topology", str(config),
+        "--ticks", "5", "--queries", "2", "--requests", "1", *command[1:],
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cost_params.")
+    assert "Traceback" not in result.stderr
+    assert "inf" not in result.stdout and "nan" not in result.stdout
 
 
 def _testbed_with_sensor_type(sensor_type):
@@ -257,3 +280,82 @@ def test_topology_source_is_required(command):
     args = [command] if command != "run" else [command, "--strategy", "qcps"]
     result = run_cli(*args)
     assert result.returncode != 0
+
+
+_FUZZ_INPUTS = {
+    "config": json.loads(dump_topology(builtin_testbed())),
+    "workload": {
+        "queries": [{"tick": 1, "services": ["environment", "velocity_travel_time"]}],
+        "requests": [{"tick": 2, "requester": "VS_1", "target": "ES_2"}],
+    },
+}
+_FUZZ_COMMANDS = (
+    ("form-grids",),
+    ("run", "--strategy", "qcps"),
+    ("run", "--strategy", "flat", "--format", "csv"),
+    ("compare", "--format", "json"),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """The fuzz base inputs, one of them with a few values replaced, deleted
+    or added somewhere in its JSON tree, and perhaps its text cut short."""
+    docs = copy.deepcopy(_FUZZ_INPUTS)
+    name = draw(st.sampled_from(sorted(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = docs[name]
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            action = draw(st.sampled_from(("replace", "delete", "add")))
+            if action == "replace":
+                node[key] = draw(_json_values)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(st.text(max_size=6))] = draw(_json_values)
+            else:
+                node.append(draw(_json_values))
+            break
+    texts = {key: json.dumps(doc) for key, doc in docs.items()}
+    if draw(st.booleans()):
+        texts[name] = texts[name][: draw(st.integers(0, len(texts[name])))]
+    return draw(st.sampled_from(_FUZZ_COMMANDS)), texts
+
+
+def _main(args):
+    """`cli.main` run in this process: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(list(args))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(_mutated_inputs())
+def test_malformed_input_never_escapes_as_an_exception(tmp_path_factory, inputs):
+    command, texts = inputs
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, text in texts.items():
+        (folder / f"{name}.json").write_text(text, encoding="utf-8")
+    args = [*command, "--topology", str(folder / "config.json")]
+    if command[0] != "form-grids":
+        args += ["--workload", str(folder / "workload.json"), "--ticks", "4"]
+    code, stdout, stderr = _main(args)
+    assert code in (0, 2), stderr
+    if code == 2:
+        assert stderr.startswith("error: ")
+    elif command[0] != "form-grids" and "csv" not in command:
+        json.loads(stdout)  # valid JSON: no bare inf or nan

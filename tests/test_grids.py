@@ -163,6 +163,16 @@ def test_sweep_edge_cases_match_oracles(case):
         assert grid.coordinator == medoid_oracle(grid.members, nodes)
 
 
+def test_form_grids_rejects_an_integer_gap_no_float_holds():
+    # the sweep squares the x gap, 2**1001, which no float holds
+    sensors = [
+        SensorNode("A", SensorType.VISION, Position(2**1000, 0, 0)),
+        SensorNode("B", SensorType.VISION, Position(-(2**1000), 0, 0)),
+    ]
+    with pytest.raises(ConfigError, match=r"^sensors: "):
+        form_grids(sensors, 1.0)
+
+
 def test_testbed_coordinators(testbed):
     grids = form_grids(testbed.sensors, 100.0)
     coordinators = {g.sensor_type: g.coordinator for g in grids.grids}

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -808,10 +809,10 @@ SERIALIZE_CASES = {
         _sent(src=[], dst={}),
     ),
     "one_full_chunk": _api_trace(
-        *(_sent(msg_id=i, tick=i // 16) for i in range(report._ROWS_PER_CHUNK))
+        *(_sent(msg_id=i, tick=i // 16) for i in range(4096))
     ),
     "chunk_and_one_row": _api_trace(
-        *(_sent(msg_id=i, distance=i / 7) for i in range(report._ROWS_PER_CHUNK + 1))
+        *(_sent(msg_id=i, distance=i / 7) for i in range(4096 + 1))
     ),
 }
 
@@ -1017,3 +1018,61 @@ def test_runs_price_sensors_just_inside_a_float():
         report_ = getattr(comparison, strategy)
         assert report_.total_wireless_distance > 1e154
         assert report_.monetized_total < float("inf")
+
+
+# 2.0 of radio distance, two infrastructure messages and two operations
+_ONE_OF_EACH = SimulationTrace(
+    QCPS,
+    (
+        Message(0, 0, "A", "B", WIRELESS, "report", 2.0),
+        Message(1, 0, "B", CLOUD_SITE, INFRASTRUCTURE, "report"),
+        Message(2, 0, CLOUD_SITE, "B", INFRASTRUCTURE, "response"),
+    ),
+    (ComputeEvent(0, CLOUD_SITE, 2),),
+    None,
+    (),
+)
+
+
+@pytest.mark.parametrize(
+    "prices, field",
+    [
+        ((1e308, 0.0, 0.0), "cost_params.wireless_cost_per_unit_distance: "),
+        ((0.0, 1e308, 0.0), "cost_params.infra_message_cost: "),
+        ((0.0, 0.0, 1e308), "cost_params.computation_op_cost: "),
+        ((5e307, 5e307, 5e307), "cost_params: "),  # each product finite, the sum not
+    ],
+    ids=["wireless", "infra", "computation", "total"],
+)
+def test_prices_whose_cost_overflows_raise_a_named_error(prices, field):
+    assert cost_of(_ONE_OF_EACH, CostParams(*(p / 2 for p in prices))).monetized_total < float("inf")
+    with pytest.raises(ConfigError, match="^" + re.escape(field)):
+        cost_of(_ONE_OF_EACH, CostParams(*prices))
+
+
+_prices = st.just(0.0) | st.floats(0.01, 100.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(_small_scenarios(), st.tuples(_prices, _prices, _prices), st.integers(-4, 4), st.data())
+def test_monetized_total_scales_exactly_with_its_prices(scenario, prices, k, data):
+    cfg, workload = scenario
+    ids = [s.node_id for s in cfg.sensors]
+    if len(ids) >= 2 and cfg.duration_ticks:
+        pairs = st.permutations(ids).map(lambda order: order[:2])
+        ticks = st.integers(0, cfg.duration_ticks - 1)
+        requests = data.draw(st.lists(st.tuples(ticks, pairs), max_size=3))
+        workload = dataclasses.replace(
+            workload, requests=tuple((tick, *pair) for tick, pair in requests)
+        )
+    base = compare_strategies(
+        dataclasses.replace(cfg, cost_params=CostParams(*prices)), workload
+    )
+    scaled = compare_strategies(
+        dataclasses.replace(cfg, cost_params=CostParams(*(p * 2**k for p in prices))),
+        workload,
+    )
+    for strategy in (QCPS, FLAT):
+        total = getattr(base, strategy).monetized_total
+        assert getattr(scaled, strategy).monetized_total == total * 2**k
+    assert scaled.delta["monetized_total"] == base.delta["monetized_total"] * 2**k
