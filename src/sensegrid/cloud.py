@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
-from .topology import SensorType
+from .topology import SensorType, _require_real
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,8 @@ class CongestionThresholds:
     medium_max: float = 15.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_real(getattr(self, f.name), f"congestion thresholds.{f.name}")
         if not 0 <= self.low_max < self.medium_max:
             raise ConfigError("congestion thresholds: need 0 <= low_max < medium_max")
 
@@ -293,8 +295,9 @@ class EstimationReport:
 # ---------------------------------------------------------------------------
 #
 # Each formula reads a window's payload columns, in payload field order, and
-# does not depend on row order: a mean is math.fsum(col) / len(col), which is
-# exactly statistics.fmean, and counts and `any` read whole columns.
+# does not depend on row order: counts and `any` read whole columns, and
+# `_mean`, math.fsum(col) / len(col), is exactly statistics.fmean. It is the
+# one mean, used by the estimators and by the flat gateway.
 
 def _mean(column: Sequence[float]) -> float:
     return math.fsum(column) / len(column)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, OverrideError
-from .topology import SensorNode, SensorType, distance
+from .topology import SensorNode, SensorType, _require_real, distance
 
 MEDOID = "medoid"
 OVERRIDDEN = "overridden"
@@ -61,9 +61,6 @@ class GridSet:
     def coordinator_of(self, node_id: str) -> str:
         return self.grid_for(node_id).coordinator
 
-    def member_ids(self) -> frozenset[str]:
-        return frozenset(self._grid_by_member)
-
 
 class _UnionFind:
     """Union by rank with path compression over integer indices."""
@@ -107,6 +104,7 @@ def form_grids(
     Candidate pairs come from a sweep over each type's sensors in x order,
     so no N x N distance matrix is built.
     """
+    _require_real(threshold, "threshold")
     if not threshold > 0:
         raise ConfigError("threshold: must be positive")
     sensors = list(sensors)

@@ -278,35 +278,27 @@ def _effect(delta: float) -> str:
     return "Reduced" if delta < 0 else ("Increased" if delta > 0 else "Unchanged")
 
 
-def comparison_csv(comparison: CostComparison) -> str:
-    lines = ["metric,qcps,flat,delta,effect"]
+def _comparison_rows(comparison: CostComparison):
+    """The header, then one (metric, qcps, flat, delta, effect) row per metric."""
+    yield "metric", "qcps", "flat", "delta", "effect"
     for metric in COST_METRICS:
         delta = comparison.delta[metric]
-        lines.append(
-            ",".join(
-                [
-                    metric,
-                    _fmt(getattr(comparison.qcps, metric)),
-                    _fmt(getattr(comparison.flat, metric)),
-                    _fmt(delta),
-                    _effect(delta),
-                ]
-            )
+        yield (
+            metric,
+            _fmt(getattr(comparison.qcps, metric)),
+            _fmt(getattr(comparison.flat, metric)),
+            _fmt(delta),
+            _effect(delta),
         )
-    return "\n".join(lines) + "\n"
+
+
+def comparison_csv(comparison: CostComparison) -> str:
+    return "".join(",".join(row) + "\n" for row in _comparison_rows(comparison))
 
 
 def comparison_table(comparison: CostComparison) -> str:
     width = max(len(m) for m in COST_METRICS)
-    lines = [
-        f"{'metric':<{width}}  {'qcps':>18}  {'flat':>18}  {'delta':>18}  effect"
-    ]
-    for metric in COST_METRICS:
-        delta = comparison.delta[metric]
-        lines.append(
-            f"{metric:<{width}}  "
-            f"{_fmt(getattr(comparison.qcps, metric)):>18}  "
-            f"{_fmt(getattr(comparison.flat, metric)):>18}  "
-            f"{_fmt(delta):>18}  {_effect(delta)}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{metric:<{width}}  {qcps:>18}  {flat:>18}  {delta:>18}  {effect}\n"
+        for metric, qcps, flat, delta, effect in _comparison_rows(comparison)
+    )

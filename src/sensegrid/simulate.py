@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
@@ -65,6 +64,7 @@ from .cloud import (
     EstimationReport,
     SERVICE_SENSOR_TYPE,
     _estimate,
+    _mean,
     answer_centric_query,
 )
 from .errors import ConfigError, RoutingError, WorkloadError
@@ -319,6 +319,10 @@ def _answer_queries(
     is computed from the columns of its window's batches. The estimators do
     not depend on row order (a mean is fsum / n).
     """
+    if not isinstance(thresholds, CongestionThresholds):
+        raise ConfigError("thresholds: expected a CongestionThresholds")
+    if not isinstance(ranges, ReadingRanges):
+        raise ConfigError("ranges: expected a ReadingRanges")
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
@@ -433,11 +437,7 @@ def _qcps_legs(
 
 
 def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
-    return Position(
-        statistics.fmean(s.position.x for s in sensors),
-        statistics.fmean(s.position.y for s in sensors),
-        statistics.fmean(s.position.z for s in sensors),
-    )
+    return Position(*(_mean([getattr(s.position, axis) for s in sensors]) for axis in "xyz"))
 
 
 def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEvent]):
@@ -540,14 +540,7 @@ def _sum_costs(
         monetized_total=monetized,
     )
 
-COST_METRICS = (
-    "total_wireless_distance",
-    "wireless_message_count",
-    "infra_message_count",
-    "cloud_op_count",
-    "node_op_count",
-    "monetized_total",
-)
+COST_METRICS = tuple(f.name for f in fields(CostReport) if f.name != "strategy")
 
 
 def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostComparison:

@@ -33,8 +33,15 @@ GATEWAY_SITE = "gateway"
 _RESERVED_IDS = frozenset({CLOUD_SITE, USER_SITE, GATEWAY_SITE})
 
 
+def _require_real(value: float, name: str) -> None:
+    """Reject anything but an int or a float; a bool passes as an int."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: expected a number")
+
+
 def _require_finite(value: float, name: str) -> None:
-    """Reject infinities, NaN and integers too large for a float."""
+    """Reject non-numbers, infinities, NaN and integers too large for a float."""
+    _require_real(value, name)
     try:
         finite = math.isfinite(value)
     except OverflowError:
@@ -65,6 +72,10 @@ class SensorNode:
     def __post_init__(self) -> None:
         if not isinstance(self.node_id, str) or not self.node_id:
             raise ConfigError("sensor id must be a non-empty string")
+        if not isinstance(self.sensor_type, SensorType):
+            raise ConfigError(f"sensor {self.node_id!r}: sensor_type: expected a SensorType")
+        if not isinstance(self.position, Position):
+            raise ConfigError(f"sensor {self.node_id!r}: position: expected a Position")
 
 
 @dataclass(frozen=True)
@@ -81,11 +92,7 @@ class CostParams:
     computation_op_cost: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "wireless_cost_per_unit_distance",
-            "infra_message_cost",
-            "computation_op_cost",
-        ):
+        for name in (f.name for f in dataclasses.fields(self)):
             _require_finite(getattr(self, name), f"cost_params.{name}")
             if getattr(self, name) < 0:
                 raise ConfigError(f"cost_params.{name}: must be non-negative")
@@ -122,13 +129,19 @@ class ScenarioConfig:
             raise ConfigError("duration_ticks: must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must fit in 64 unsigned bits")
-        seen: set[str] = set()
+        if not isinstance(self.cost_params, CostParams):
+            raise ConfigError("cost_params: expected a CostParams")
+        if not isinstance(self.sensors, (tuple, list)):
+            raise ConfigError("sensors: expected a tuple of SensorNode")
+        by_id: dict[str, SensorNode] = {}
         for i, s in enumerate(self.sensors):
-            if s.node_id in seen:
+            if not isinstance(s, SensorNode):
+                raise ConfigError(f"sensors[{i}]: expected a SensorNode")
+            if s.node_id in by_id:
                 raise ConfigError(f"sensors[{i}].id: duplicate id {s.node_id!r}")
             if s.node_id in _RESERVED_IDS:
                 raise ConfigError(f"sensors[{i}].id: {s.node_id!r} is a reserved site name")
-            seen.add(s.node_id)
+            by_id[s.node_id] = s
         if not isinstance(self.coordinator_overrides, dict):
             raise ConfigError("coordinator_overrides: expected a dict")
         for sensor_type, node_id in self.coordinator_overrides.items():
@@ -136,7 +149,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"coordinator_overrides: key {sensor_type!r} is not a SensorType"
                 )
-            node = self.find(node_id)
+            node = by_id.get(node_id) if isinstance(node_id, str) else None
             if node is None:
                 raise ConfigError(
                     f"coordinator_overrides.{sensor_type.value}: unknown sensor {node_id!r}"
@@ -146,12 +159,6 @@ class ScenarioConfig:
                     f"coordinator_overrides.{sensor_type.value}: "
                     f"{node_id!r} is a {node.sensor_type.value} sensor"
                 )
-
-    def find(self, node_id: str) -> SensorNode | None:
-        for s in self.sensors:
-            if s.node_id == node_id:
-                return s
-        return None
 
     def by_id(self) -> dict[str, SensorNode]:
         return {s.node_id: s for s in self.sensors}
@@ -179,27 +186,16 @@ def distance(a: Position, b: Position) -> float:
 # Config file loading / dumping
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "sensors",
-    "threshold",
-    "cost_params",
-    "segment_length",
-    "duration_ticks",
-    "seed",
-    "coordinator_overrides",
-}
-_REQUIRED_TOP_KEYS = _TOP_KEYS - {"coordinator_overrides"}
-_SENSOR_KEYS = {"id", "type", "x", "y", "z"}
-_COST_KEYS = {
-    "wireless_cost_per_unit_distance",
-    "infra_message_cost",
-    "computation_op_cost",
-}
+# Keys in schema order, so a config missing several fields names the first
+_TOP_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+_REQUIRED_TOP_KEYS = tuple(key for key in _TOP_KEYS if key != "coordinator_overrides")
+_SENSOR_KEYS = ("id", "type", "x", "y", "z")
+_COST_KEYS = tuple(f.name for f in dataclasses.fields(CostParams))
 
 
 def _require_number(obj: dict, key: str, path: str) -> float:
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected a number")
     _require_finite(value, f"{path}.{key}")
     if float(value) != value:  # an int beyond 2**53 that no float holds
@@ -207,7 +203,7 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     return float(value)
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown field")

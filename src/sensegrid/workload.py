@@ -21,7 +21,7 @@ from .cloud import (
     service_from_name,
 )
 from .errors import ConfigError, WorkloadError
-from .topology import ScenarioConfig, SensorNode, SensorType, _require_finite
+from .topology import ScenarioConfig, SensorNode, SensorType, _require_finite, _require_real
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class ReadingRanges:
         if self.vehicle_count[0] < 0:
             raise ConfigError("ranges.vehicle_count: must be non-negative")
         for name in ("distorted_prob", "crash_prob"):
+            _require_real(getattr(self, name), f"ranges.{name}")
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"ranges.{name}: must lie in [0, 1]")
 

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -359,3 +360,25 @@ def test_malformed_input_never_escapes_as_an_exception(tmp_path_factory, inputs)
         assert stderr.startswith("error: ")
     elif command[0] != "form-grids" and "csv" not in command:
         json.loads(stdout)  # valid JSON: no bare inf or nan
+
+
+def test_missing_fields_are_named_in_schema_order_under_any_hash_seed(tmp_path):
+    complete = json.loads(dump_topology(builtin_testbed()))
+    configs = {
+        "{}": "config.sensors",
+        json.dumps(dict(complete, sensors=[{}])): "config.sensors[0].id",
+        json.dumps(dict(complete, cost_params={})): (
+            "config.cost_params.wireless_cost_per_unit_distance"
+        ),
+    }
+    for i, (text, field) in enumerate(configs.items()):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(text, encoding="utf-8")
+        for seed in range(4):
+            result = subprocess.run(
+                [sys.executable, "-m", "sensegrid", "form-grids", "--topology", str(path)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+            )
+            assert (result.returncode, result.stderr) == (2, f"error: {field}: missing field\n")

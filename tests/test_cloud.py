@@ -170,6 +170,14 @@ def test_congestion_medium_band_and_bad_thresholds():
         CongestionThresholds(low_max=15, medium_max=15)
 
 
+def test_congestion_thresholds_must_be_numbers():
+    with pytest.raises(ConfigError, match=r"^congestion thresholds\.low_max: expected a number$"):
+        CongestionThresholds("a", "b")
+    with pytest.raises(ConfigError, match=r"^congestion thresholds\.medium_max: "):
+        CongestionThresholds(5.0, None)
+    assert CongestionThresholds(5.0, float("inf")).medium_max == float("inf")
+
+
 def _populated_cloud():
     cloud = Cloud()
     cloud.ingest(_vision("VS_1", 0, 2, False))

@@ -173,6 +173,12 @@ def test_form_grids_rejects_an_integer_gap_no_float_holds():
         form_grids(sensors, 1.0)
 
 
+def test_form_grids_rejects_a_threshold_that_is_not_a_number(testbed):
+    with pytest.raises(ConfigError, match=r"^threshold: expected a number$"):
+        form_grids(testbed.sensors, "1")
+    assert len(form_grids(testbed.sensors, float("inf")).grids) == 4
+
+
 def test_testbed_coordinators(testbed):
     grids = form_grids(testbed.sensors, 100.0)
     coordinators = {g.sensor_type: g.coordinator for g in grids.grids}

@@ -3,6 +3,9 @@ import hashlib
 import pickle
 import random
 import re
+import statistics
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1076,3 +1079,45 @@ def test_monetized_total_scales_exactly_with_its_prices(scenario, prices, k, dat
         total = getattr(base, strategy).monetized_total
         assert getattr(scaled, strategy).monetized_total == total * 2**k
     assert scaled.delta["monetized_total"] == base.delta["monetized_total"] * 2**k
+
+
+_COORDINATES = st.one_of(
+    st.integers(-(2**60), 2**60),
+    st.integers(-(10**300), 10**300),
+    st.floats(-1e300, 1e300),
+    st.floats(9e299, 1e300),
+    st.floats(-1e300, -9e299),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES), min_size=1, max_size=12))
+def test_gateway_position_is_bitwise_statistics_fmean(points):
+    # statistics is only the oracle here; the package's one mean is cloud._mean
+    sensors = tuple(
+        SensorNode(f"S_{i}", SensorType.SPEED, Position(*point)) for i, point in enumerate(points)
+    )
+    gateway = simulate._gateway_position(sensors)
+    expected = [statistics.fmean(point[axis] for point in points) for axis in range(3)]
+    assert [float.hex(v) for v in dataclasses.astuple(gateway)] == list(map(float.hex, expected))
+
+
+def test_import_loads_no_statistics_fractions_or_decimal():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sensegrid\n"
+        "print(sorted({'statistics', 'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argument", ["thresholds", "ranges"])
+def test_run_scenario_rejects_a_missing_thresholds_or_ranges(argument):
+    cfg = dataclasses.replace(builtin_testbed(), duration_ticks=3)
+    workload = generate_workload(cfg, 2, 1)
+    with pytest.raises(ConfigError, match=rf"^{argument}: expected a "):
+        run_scenario(cfg, workload, QCPS, **{argument: None})

@@ -2,15 +2,19 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensegrid import (
     ConfigError,
+    CongestionThresholds,
     CostParams,
     Position,
+    ReadingRanges,
     ScenarioConfig,
+    SenseGridError,
     SensorNode,
     SensorType,
     TESTBED_PLACEHOLDER_IDS,
@@ -345,3 +349,108 @@ def test_integers_a_float_holds_reload_exactly(value):
     assert reloaded == cfg
     assert reloaded.sensors[0].position.x == value
     assert reloaded.threshold == abs(value)
+
+
+@pytest.mark.parametrize(
+    "sensor_type, position, field",
+    [
+        ("vision", Position(0, 0, 0), "sensor_type"),
+        (None, Position(0, 0, 0), "sensor_type"),
+        (SensorType.VISION, (0, 0, 0), "position"),
+        (SensorType.VISION, None, "position"),
+    ],
+    ids=["type_name", "type_none", "position_tuple", "position_none"],
+)
+def test_sensor_node_rejects_wrongly_typed_fields(sensor_type, position, field):
+    with pytest.raises(ConfigError, match=rf"^sensor 'VS_1': {field}: expected a "):
+        SensorNode("VS_1", sensor_type, position)
+
+
+NON_NUMBERS = {
+    "position_str": (lambda: Position("1", 0, 0), "position.x"),
+    "position_none": (lambda: Position(0, None, 0), "position.y"),
+    "threshold_str": (
+        lambda: ScenarioConfig(builtin_testbed().sensors, threshold="1"),
+        "threshold",
+    ),
+    "segment_length_str": (
+        lambda: ScenarioConfig(builtin_testbed().sensors, 10, segment_length="x"),
+        "segment_length",
+    ),
+    "cost_str": (lambda: CostParams("x"), "cost_params.wireless_cost_per_unit_distance"),
+    "range_bounds_str": (lambda: ReadingRanges(speed=("a", "b")), "ranges.speed"),
+    "probability_list": (lambda: ReadingRanges(crash_prob=[0.5]), "ranges.crash_prob"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBERS))
+def test_value_types_reject_non_numbers(case):
+    build, field = NON_NUMBERS[case]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected a number$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"sensors": None}, r"^sensors: expected a tuple of SensorNode"),
+        (
+            {"sensors": (*builtin_testbed().sensors, "VS_9")},
+            r"^sensors\[16\]: expected a SensorNode",
+        ),
+        ({"cost_params": None}, r"^cost_params: expected a CostParams"),
+        (
+            {"coordinator_overrides": {SensorType.VISION: ["VS_1"]}},
+            r"^coordinator_overrides\.vision: unknown sensor \['VS_1'\]$",
+        ),
+    ],
+    ids=["sensors_none", "sensors_with_a_str", "cost_params_none", "override_id_a_list"],
+)
+def test_scenario_config_rejects_wrongly_typed_parts(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(builtin_testbed(), **changes)
+
+
+_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.just(math.nan),
+    st.just(10**400),
+    st.integers(),
+    st.floats(),
+)
+_TESTBED = builtin_testbed()
+# junk, and containers of junk mixed with valid parts
+_JUNK_VALUES = st.one_of(
+    _JUNK,
+    st.tuples(_JUNK, _JUNK),
+    st.lists(st.one_of(_JUNK, st.sampled_from(_TESTBED.sensors)), max_size=3).map(tuple),
+    st.dictionaries(
+        st.one_of(st.sampled_from(SensorType), st.text(max_size=2)),
+        st.one_of(_JUNK, st.sampled_from([s.node_id for s in _TESTBED.sensors])),
+        max_size=2,
+    ),
+)
+# valid values for the fields without a default
+_REQUIRED = {
+    Position: {"x": 0.0, "y": 0.0, "z": 0.0},
+    SensorNode: {"node_id": "N_1", "sensor_type": SensorType.SPEED, "position": Position(0, 0, 0)},
+    CostParams: {},
+    ScenarioConfig: {"sensors": _TESTBED.sensors, "threshold": 100.0},
+    ReadingRanges: {},
+    CongestionThresholds: {},
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_value_types_built_from_junk_construct_or_raise_a_sensegrid_error(data):
+    kind = data.draw(st.sampled_from(list(_REQUIRED)))
+    names = st.sampled_from([f.name for f in dataclasses.fields(kind)])
+    junk = data.draw(st.dictionaries(names, _JUNK_VALUES, min_size=1, max_size=2))
+    try:
+        kind(**{**_REQUIRED[kind], **junk})
+    except SenseGridError:
+        pass
