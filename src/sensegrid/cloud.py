@@ -23,42 +23,39 @@ from .topology import SensorType, _require_real
 # Readings
 # ---------------------------------------------------------------------------
 
+class _Payload:
+    """Base of the four payload types: a payload applies its type's
+    `_PAYLOAD_CHECKS` to its own fields and raises the first that fails."""
+
+    def __post_init__(self) -> None:
+        values = tuple(vars(self).values())  # field order
+        for index, rejects, message in _PAYLOAD_CHECKS[type(self)]:
+            if rejects(values[index]):
+                raise ConfigError(message)
+
+
 @dataclass(frozen=True)
-class VisionPayload:
+class VisionPayload(_Payload):
     lane_count: int
     distorted: bool
 
-    def __post_init__(self) -> None:
-        _check_payload_columns(VisionPayload, ((self.lane_count,), (self.distorted,)))
-
 
 @dataclass(frozen=True)
-class SpeedPayload:
+class SpeedPayload(_Payload):
     vehicle_speed: float  # distance-units per tick
 
-    def __post_init__(self) -> None:
-        _check_payload_columns(SpeedPayload, ((self.vehicle_speed,),))
-
 
 @dataclass(frozen=True)
-class EnvironmentPayload:
+class EnvironmentPayload(_Payload):
     temperature: float
     humidity: float
     light: float
 
-    def __post_init__(self) -> None:
-        _check_payload_columns(
-            EnvironmentPayload, ((self.temperature,), (self.humidity,), (self.light,))
-        )
-
 
 @dataclass(frozen=True)
-class MiscPayload:
+class MiscPayload(_Payload):
     vehicle_count: int
     crash: bool
-
-    def __post_init__(self) -> None:
-        _check_payload_columns(MiscPayload, ((self.vehicle_count,), (self.crash,)))
 
 
 Payload = VisionPayload | SpeedPayload | EnvironmentPayload | MiscPayload
@@ -79,11 +76,7 @@ _PAYLOAD_CHECKS = {
 
 def _check_payload_columns(payload_type: type, columns: Sequence[Sequence]) -> None:
     """Raise the `ConfigError` that building the rows as payloads of this type,
-    in row order, would raise first; columns are in field order.
-
-    The one place the payload checks live: every payload runs them on its
-    one-row columns, and generated column batches on theirs.
-    """
+    in row order, would raise first; columns are in field order."""
     failures = []
     for order, (index, rejects, message) in enumerate(_PAYLOAD_CHECKS[payload_type]):
         for row, value in enumerate(columns[index]):
@@ -249,6 +242,11 @@ class CongestionThresholds:
             raise ConfigError("congestion thresholds: need 0 <= low_max < medium_max")
 
 
+def _require_thresholds(thresholds: object) -> None:
+    if not isinstance(thresholds, CongestionThresholds):
+        raise ConfigError("thresholds: expected a CongestionThresholds")
+
+
 @dataclass(frozen=True)
 class RoadConditionResult:
     data_available: bool
@@ -300,7 +298,13 @@ class EstimationReport:
 # one mean, used by the estimators and by the flat gateway.
 
 def _mean(column: Sequence[float]) -> float:
-    return math.fsum(column) / len(column)
+    try:
+        return math.fsum(column) / len(column)
+    except OverflowError:
+        # the sum overflows, the mean does not: dividing by 2**k > n keeps
+        # the sum finite and, above the subnormal range, is exact
+        scale = 2 ** len(column).bit_length()
+        return math.fsum(v / scale for v in column) / len(column) * scale
 
 
 def _road_condition(
@@ -319,6 +323,7 @@ def _road_condition(
 def _velocity_travel_time(
     vehicle_speed: Sequence[float], segment_length: float
 ) -> VelocityTravelTimeResult:
+    _require_real(segment_length, "segment_length")
     if not segment_length > 0:
         raise ConfigError("segment_length: must be positive")
     if not vehicle_speed:
@@ -349,6 +354,7 @@ def _environment(
 def _congestion(
     vehicle_count: Sequence[int], crash: Sequence[bool], thresholds: CongestionThresholds
 ) -> CongestionResult:
+    _require_thresholds(thresholds)
     if not vehicle_count:
         return CongestionResult(data_available=False)
     mean_count = _mean(vehicle_count)
@@ -383,19 +389,24 @@ def _estimate(
 
 
 def _window_columns(
-    db: CloudDatabase, window: tuple[int, int], payload_type: type
+    db: CloudDatabase, window: tuple[int, int], sensor_type: SensorType
 ) -> list[list]:
-    """The window's rows as one column per field of the payload type the
-    estimator reads."""
+    """The window's rows as one column per payload field of the sensor type
+    the estimator reads. A database that holds another type's readings is
+    rejected; an empty one of any type reads as no data."""
+    if not isinstance(db, CloudDatabase) or (db.tables and db.sensor_type is not sensor_type):
+        got = db.name if isinstance(db, CloudDatabase) else type(db).__name__
+        raise WrongDatabaseError(f"database: expected {database_for(sensor_type)}, got {got}")
     rows = db.in_window(window)
-    return [[getattr(r.payload, f.name) for r in rows] for f in fields(payload_type)]
+    payload_fields = fields(PAYLOAD_TYPE[sensor_type])
+    return [[getattr(r.payload, f.name) for r in rows] for f in payload_fields]
 
 
 def estimate_road_condition(
     vdb: CloudDatabase, window: tuple[int, int]
 ) -> RoadConditionResult:
     """Fraction of distorted sightings and the dominant lane count (tie -> 2)."""
-    return _road_condition(*_window_columns(vdb, window, VisionPayload))
+    return _road_condition(*_window_columns(vdb, window, SensorType.VISION))
 
 
 def estimate_velocity_travel_time(
@@ -403,14 +414,14 @@ def estimate_velocity_travel_time(
 ) -> VelocityTravelTimeResult:
     """Mean speed over the window and the ticks needed to cross the segment."""
     return _velocity_travel_time(
-        *_window_columns(sdb, window, SpeedPayload), segment_length
+        *_window_columns(sdb, window, SensorType.SPEED), segment_length
     )
 
 
 def estimate_environment(
     edb: CloudDatabase, window: tuple[int, int]
 ) -> EnvironmentResult:
-    return _environment(*_window_columns(edb, window, EnvironmentPayload))
+    return _environment(*_window_columns(edb, window, SensorType.ENVIRONMENT))
 
 
 def estimate_congestion(
@@ -418,7 +429,7 @@ def estimate_congestion(
     window: tuple[int, int],
     thresholds: CongestionThresholds = CongestionThresholds(),
 ) -> CongestionResult:
-    return _congestion(*_window_columns(mdb, window, MiscPayload), thresholds)
+    return _congestion(*_window_columns(mdb, window, SensorType.MISCELLANEOUS), thresholds)
 
 
 def answer_centric_query(
@@ -431,6 +442,6 @@ def answer_centric_query(
     sections: dict[Service, SectionResult] = {}
     for service in query.requested_services:
         sensor_type = SERVICE_SENSOR_TYPE[service]
-        columns = _window_columns(cloud.db(sensor_type), query.window, PAYLOAD_TYPE[sensor_type])
+        columns = _window_columns(cloud.db(sensor_type), query.window, sensor_type)
         sections[service] = _estimate(service, columns, segment_length, thresholds)
     return EstimationReport(query_id=query.query_id, sections=sections)

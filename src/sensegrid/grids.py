@@ -62,32 +62,6 @@ class GridSet:
         return self.grid_for(node_id).coordinator
 
 
-class _UnionFind:
-    """Union by rank with path compression over integer indices."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, u: int) -> int:
-        root = u
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[u] != root:
-            self.parent[u], u = root, self.parent[u]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
-
-
 def form_grids(
     sensors: list[SensorNode] | tuple[SensorNode, ...],
     threshold: float,
@@ -114,7 +88,14 @@ def form_grids(
     by_type: dict[SensorType, list[int]] = {}
     for i, sensor in enumerate(sensors):
         by_type.setdefault(sensor.sensor_type, []).append(i)
-    uf = _UnionFind(len(sensors))
+    # union-find with path halving; which root a union keeps never shows
+    parent = list(range(len(sensors)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     for indices in by_type.values():
         indices.sort(key=lambda i: sensors[i].position.x)
         positions = [sensors[i].position for i in indices]
@@ -130,11 +111,11 @@ def form_grids(
                 except OverflowError:  # an integer gap no float holds
                     raise ConfigError(_TOO_FAR) from None
                 if distance(p, q) < threshold:
-                    uf.union(indices[a], indices[b])
+                    parent[root(indices[a])] = root(indices[b])
 
     components: dict[int, list[SensorNode]] = {}
     for i, sensor in enumerate(sensors):
-        components.setdefault(uf.find(i), []).append(sensor)
+        components.setdefault(root(i), []).append(sensor)
 
     by_id = {s.node_id: s for s in sensors}
     overrides = overrides or {}

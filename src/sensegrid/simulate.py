@@ -65,6 +65,7 @@ from .cloud import (
     SERVICE_SENSOR_TYPE,
     _estimate,
     _mean,
+    _require_thresholds,
     answer_centric_query,
 )
 from .errors import ConfigError, RoutingError, WorkloadError
@@ -284,14 +285,6 @@ _QUERY_ROWS = (
 )
 
 
-def _ticks_to_process(cfg: ScenarioConfig, workload: Workload) -> range | list[int]:
-    if cfg.duration_ticks > 0:
-        return range(cfg.duration_ticks)
-    if workload.queries or workload.requests:
-        return [0]
-    return []
-
-
 def _events_by_tick(workload: Workload):
     queries: dict[int, list[CentricQuery]] = {}
     for tick, query in workload.queries:
@@ -319,8 +312,7 @@ def _answer_queries(
     is computed from the columns of its window's batches. The estimators do
     not depend on row order (a mean is fsum / n).
     """
-    if not isinstance(thresholds, CongestionThresholds):
-        raise ConfigError("thresholds: expected a CongestionThresholds")
+    _require_thresholds(thresholds)
     if not isinstance(ranges, ReadingRanges):
         raise ConfigError("ranges: expected a ReadingRanges")
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
@@ -425,7 +417,8 @@ def _qcps_legs(
     query_block = _block(_QUERY_ROWS)
     queries_at, requests_at = _events_by_tick(workload)
 
-    for tick in _ticks_to_process(cfg, workload):
+    # a zero-tick run still serves its tick-0 events, and sends no report
+    for tick in range(max(cfg.duration_ticks, 1)):
         if tick < cfg.duration_ticks:
             yield tick, report_block
         for query in queries_at.get(tick, ()):
@@ -450,7 +443,7 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
         }
     queries_at, requests_at = _events_by_tick(workload)
 
-    for tick in _ticks_to_process(cfg, workload):
+    for tick in range(max(cfg.duration_ticks, 1)):
         for query in queries_at.get(tick, ()):
             relevant_types = [
                 SERVICE_SENSOR_TYPE[service] for service in query.requested_services
@@ -476,6 +469,8 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
+    if not isinstance(params, CostParams):
+        raise ConfigError("cost_params: expected a CostParams")
     messages = trace.messages
     if type(messages) is _Messages:
         items = messages._items

@@ -382,3 +382,21 @@ def test_missing_fields_are_named_in_schema_order_under_any_hash_seed(tmp_path):
                 env=dict(os.environ, PYTHONHASHSEED=str(seed)),
             )
             assert (result.returncode, result.stderr) == (2, f"error: {field}: missing field\n")
+
+
+def test_compare_prices_sensors_whose_coordinate_sum_overflows(tmp_path):
+    # the extent check passes (the diagonal is 0), and the flat gateway's
+    # mean x of 1e308 is finite although the sum of the x's is not
+    raw = json.loads(dump_topology(builtin_testbed()))
+    raw["sensors"] = [dict(s, x=1e308) for s in raw["sensors"] if s["type"] == "speed"][:2]
+    raw.pop("coordinator_overrides", None)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(raw))
+    result = run_cli(
+        "compare", "--topology", str(config), "--queries", "1", "--requests", "0",
+        "--format", "json",
+    )
+    assert result.returncode == 0, result.stderr
+    costs = json.loads(result.stdout)["flat"]
+    assert costs["wireless_message_count"] == 4
+    assert 0 < costs["total_wireless_distance"] < 1000

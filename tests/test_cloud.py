@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from sensegrid.cloud import (
     MiscPayload,
     SpeedPayload,
     VisionPayload,
+    _mean,
 )
 
 
@@ -260,3 +263,66 @@ def test_estimators_are_deterministic_reads():
     first = answer_centric_query(query, cloud, 600.0)
     second = answer_centric_query(query, cloud, 600.0)
     assert first == second
+
+
+_ESTIMATORS = {
+    SensorType.VISION: estimate_road_condition,
+    SensorType.SPEED: lambda db, window: estimate_velocity_travel_time(db, window, 600.0),
+    SensorType.ENVIRONMENT: estimate_environment,
+    SensorType.MISCELLANEOUS: estimate_congestion,
+}
+
+_ONE_READING = {
+    SensorType.VISION: _vision("VS_1", 0, 2, False),
+    SensorType.SPEED: _speed("SS_1", 0, 25.0),
+    SensorType.ENVIRONMENT: _env("ES_1", 0, 18.0, 55.0),
+    SensorType.MISCELLANEOUS: _misc("MS_1", 0, 7),
+}
+
+
+@pytest.mark.parametrize(
+    "estimated, stored",
+    [(a, b) for a in SensorType for b in SensorType if a is not b],
+    ids=lambda t: t.value,
+)
+def test_estimators_reject_a_database_holding_another_type(estimated, stored):
+    db = CloudDatabase(stored)
+    # an empty database holds no reading of any type
+    assert not _ESTIMATORS[estimated](db, (0, 3)).data_available
+    db.ingest(_ONE_READING[stored])
+    expected = f"^database: expected {database_for(estimated)}, got {db.name}$"
+    for window in ((0, 3), (5, 9)):
+        with pytest.raises(WrongDatabaseError, match=expected):
+            _ESTIMATORS[estimated](db, window)
+
+
+def test_estimators_reject_a_database_that_is_not_one():
+    with pytest.raises(WrongDatabaseError, match="^database: expected VDB, got NoneType$"):
+        estimate_road_condition(None, (0, 3))
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "with_data"])
+def test_estimator_arguments_of_the_wrong_type_raise_a_named_error(empty):
+    cloud = Cloud() if empty else _populated_cloud()
+    sdb, mdb = cloud.db(SensorType.SPEED), cloud.db(SensorType.MISCELLANEOUS)
+    speed_query = CentricQuery("Q1", (Service.VELOCITY_TRAVEL_TIME,), (0, 0))
+    for call in (
+        lambda: estimate_velocity_travel_time(sdb, (0, 0), "600"),
+        lambda: answer_centric_query(speed_query, cloud, "600"),
+    ):
+        with pytest.raises(ConfigError, match="^segment_length: expected a number$"):
+            call()
+    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds$"):
+        estimate_congestion(mdb, (0, 0), None)
+
+
+def test_means_whose_sum_overflows_are_finite():
+    sdb = CloudDatabase(SensorType.SPEED)
+    for tick, v in enumerate([1e308, 1e308, 1.5e308, 1.3e308]):
+        sdb.ingest(_speed("SS_1", tick, v))
+    assert estimate_velocity_travel_time(sdb, (0, 1), 1.0).mean_speed == 1e308
+    assert estimate_velocity_travel_time(sdb, (2, 3), 1.0).mean_speed == 1.4e308
+    top = sys.float_info.max
+    for column in ([top] * 5, [top, top, -top, top], [10**308, 1.5e308, 1.7e308]):
+        exact = sum(map(Fraction, column)) / len(column)
+        assert _mean(column) == pytest.approx(float(exact), rel=1e-15)

@@ -1121,3 +1121,73 @@ def test_run_scenario_rejects_a_missing_thresholds_or_ranges(argument):
     workload = generate_workload(cfg, 2, 1)
     with pytest.raises(ConfigError, match=rf"^{argument}: expected a "):
         run_scenario(cfg, workload, QCPS, **{argument: None})
+
+
+def test_velocity_answer_whose_speed_sum_overflows_is_finite(testbed):
+    cfg = dataclasses.replace(testbed, duration_ticks=3)
+    workload = _queries((2, (SPEED,), (0, 2)))
+    ranges = ReadingRanges(speed=(1e308, 1.5e308))
+    for strategy in (QCPS, FLAT):
+        section = run_scenario(cfg, workload, strategy, ranges=ranges).answered[0][1].sections
+        assert 1e308 <= section[SPEED].mean_speed <= 1.5e308
+
+
+def test_cost_of_rejects_cost_params_of_the_wrong_type():
+    with pytest.raises(ConfigError, match="^cost_params: expected a CostParams$"):
+        cost_of(_ONE_OF_EACH, None)
+
+
+@st.composite
+def _scenarios_with_requests(draw):
+    cfg, workload = draw(_small_scenarios())
+    ids = [s.node_id for s in cfg.sensors]
+    if len(ids) >= 2 and cfg.duration_ticks:
+        pairs = st.permutations(ids).map(lambda order: order[:2])
+        ticks = st.integers(0, cfg.duration_ticks - 1)
+        requests = draw(st.lists(st.tuples(ticks, pairs), max_size=3))
+        workload = dataclasses.replace(
+            workload, requests=tuple((tick, *pair) for tick, pair in requests)
+        )
+    return cfg, workload
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_scenarios_with_requests(), st.data())
+def test_order_preserving_relabelling_leaves_costs_unchanged(scenario, data):
+    # medoid ties go to the smallest id, so the new ids keep the old order
+    cfg, workload = scenario
+    old = sorted(s.node_id for s in cfg.sensors)
+    new = data.draw(
+        st.lists(st.text("ab_XY0", min_size=1, max_size=4), min_size=len(old),
+                 max_size=len(old), unique=True)
+    )
+    rename = dict(zip(old, sorted(new))).__getitem__
+    relabelled = dataclasses.replace(
+        cfg, sensors=tuple(dataclasses.replace(s, node_id=rename(s.node_id)) for s in cfg.sensors)
+    )
+    requests = tuple((tick, rename(a), rename(b)) for tick, a, b in workload.requests)
+    moved = compare_strategies(relabelled, dataclasses.replace(workload, requests=requests))
+    assert moved == compare_strategies(cfg, workload)
+
+
+_SHIFTS = st.integers(-(2**60), 2**60)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(_scenarios_with_requests(), st.tuples(_SHIFTS, _SHIFTS, _SHIFTS))
+def test_integer_translation_leaves_grids_and_qcps_costs_unchanged(scenario, shift):
+    # integer gaps are exact; flat's distances are not compared, because its
+    # centroid gateway is a float mean that rounds differently once moved
+    cfg, workload = scenario
+    sensors = tuple(
+        dataclasses.replace(
+            s, position=Position(*(c + d for c, d in zip(dataclasses.astuple(s.position), shift)))
+        )
+        for s in cfg.sensors
+    )
+    moved = dataclasses.replace(cfg, sensors=sensors)
+    assert form_grids(sensors, cfg.threshold) == form_grids(cfg.sensors, cfg.threshold)
+    before, after = compare_strategies(cfg, workload), compare_strategies(moved, workload)
+    assert after.qcps == before.qcps
+    counts = ("wireless_message_count", "infra_message_count", "cloud_op_count", "node_op_count")
+    assert [getattr(after.flat, c) for c in counts] == [getattr(before.flat, c) for c in counts]
