@@ -102,8 +102,15 @@ class Reading:
     payload: Payload
 
     def __post_init__(self) -> None:
+        if isinstance(self.tick, bool) or not isinstance(self.tick, int):
+            raise ConfigError("reading tick: expected an integer")
         if self.tick < 0:
             raise ConfigError("reading tick: must be non-negative")
+
+
+def _require_reading(reading: object) -> None:
+    if not isinstance(reading, Reading):
+        raise WrongDatabaseError(f"reading: expected a Reading, got {type(reading).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +140,7 @@ class CloudDatabase:
 
     def ingest(self, reading: Reading) -> None:
         """Append a reading to its sensor's table, creating the table lazily."""
+        _require_reading(reading)
         if not isinstance(reading.payload, PAYLOAD_TYPE[self.sensor_type]):
             raise WrongDatabaseError(
                 f"{self.name} stores {self.sensor_type.value} readings, "
@@ -141,6 +149,7 @@ class CloudDatabase:
         self.tables.setdefault(reading.sensor_id, []).append(reading)
 
     def in_window(self, window: tuple[int, int]) -> list[Reading]:
+        _require_window(window, "")
         start, end = window
         rows = []
         for sensor_id in sorted(self.tables):
@@ -157,6 +166,7 @@ class Cloud:
         }
 
     def ingest(self, reading: Reading) -> None:
+        _require_reading(reading)
         for sensor_type, payload_cls in PAYLOAD_TYPE.items():
             if isinstance(reading.payload, payload_cls):
                 self.databases[sensor_type].ingest(reading)
@@ -215,16 +225,21 @@ class CentricQuery:
                 )
         if len(set(self.requested_services)) != len(self.requested_services):
             raise QueryError(f"query {self.query_id}: duplicate service requested")
-        window = self.window
-        if not (
-            isinstance(window, tuple)
-            and len(window) == 2
-            and all(isinstance(t, int) and not isinstance(t, bool) for t in window)
-        ):
-            raise QueryError(f"query {self.query_id}: window must be a pair of integer ticks")
-        start, end = window
-        if start < 0 or start > end:
-            raise QueryError(f"query {self.query_id}: window must satisfy 0 <= from <= to")
+        _require_window(self.window, f"query {self.query_id}: ")
+
+
+def _require_window(window: object, prefix: str) -> None:
+    """The one window rule: a pair of non-bool integer ticks, 0 <= from <= to.
+    The prefix leads its `QueryError` message."""
+    if not (
+        isinstance(window, tuple)
+        and len(window) == 2
+        and all(isinstance(t, int) and not isinstance(t, bool) for t in window)
+    ):
+        raise QueryError(f"{prefix}window must be a pair of integer ticks")
+    start, end = window
+    if start < 0 or start > end:
+        raise QueryError(f"{prefix}window must satisfy 0 <= from <= to")
 
 
 @dataclass(frozen=True)
@@ -320,12 +335,16 @@ def _road_condition(
     )
 
 
-def _velocity_travel_time(
-    vehicle_speed: Sequence[float], segment_length: float
-) -> VelocityTravelTimeResult:
+def _require_segment_length(segment_length: object) -> None:
     _require_real(segment_length, "segment_length")
     if not segment_length > 0:
         raise ConfigError("segment_length: must be positive")
+
+
+def _velocity_travel_time(
+    vehicle_speed: Sequence[float], segment_length: float
+) -> VelocityTravelTimeResult:
+    _require_segment_length(segment_length)
     if not vehicle_speed:
         return VelocityTravelTimeResult(data_available=False)
     mean_speed = _mean(vehicle_speed)
@@ -439,6 +458,12 @@ def answer_centric_query(
     thresholds: CongestionThresholds = CongestionThresholds(),
 ) -> EstimationReport:
     """Answer a centric query: one section per requested service, nothing more."""
+    if not isinstance(query, CentricQuery):
+        raise QueryError(f"query: expected a CentricQuery, got {type(query).__name__}")
+    if not isinstance(cloud, Cloud):
+        raise WrongDatabaseError(f"cloud: expected a Cloud, got {type(cloud).__name__}")
+    _require_segment_length(segment_length)
+    _require_thresholds(thresholds)
     sections: dict[Service, SectionResult] = {}
     for service in query.requested_services:
         sensor_type = SERVICE_SENSOR_TYPE[service]

@@ -4,17 +4,17 @@ Reports must be byte-identical across runs and platforms, so JSON is
 emitted by a small writer of our own: keys sorted, floats fixed at six
 decimal places, no locale or dict-order dependence anywhere.
 
-A trace from ``run_scenario`` holds one message per transmission, hundreds
-of thousands in a large run, so ``serialize_trace`` does not build a dict
-per message for it. It keeps the (tick, block) items the strategy runners
-yielded, whose value types are fixed and whose blocks repeat, so each
-distinct block becomes one template with every name and distance already
-in place, and each item fills it with its message ids and tick, building
-no ``Message``. Every other trace, such as one built through the API, goes
-through the canonical writer one dict per message, whatever its values.
-Either way the bytes equal ``canonical_json(trace_dict(trace))``, where
-``trace_dict`` is the dict view kept in the tests as the reference, and the
-tests enforce it.
+Every trace goes through the canonical writer as one dict. A trace from
+``run_scenario`` holds one message per transmission, hundreds of thousands
+in a large run, so the writer builds no dict per message for it: it fills
+the messages from the (tick, block) items the strategy runners yielded,
+whose value types are fixed and whose blocks repeat. Each distinct block
+becomes one template with every name and distance already in place, and
+each item fills it with its message ids and tick, building no ``Message``.
+Any other trace, such as one built through the API, is written one dict
+per message, whatever its values. Either way the bytes equal
+``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict
+view kept in the tests as the reference, and the tests enforce it.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ def _write_canonical(value, out: io.StringIO, indent: int) -> None:
         out.write(json.dumps(value))
     elif value is None:
         out.write("null")
+    elif type(value) is _Messages:
+        # a runner trace's messages; the row templates are indented for
+        # depth 1, where a trace's "messages" stands
+        if not value:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for i, text in enumerate(_block_texts(value._items)):
+            if i:
+                out.write(",\n")
+            out.write(text)
+        out.write("\n" + pad + "]")
     else:
         raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
@@ -141,51 +153,30 @@ _MESSAGE_ROW = (
 def serialize_trace(trace: SimulationTrace) -> str:
     """The canonical JSON of a trace: strategy, messages, compute events,
     grids (null for flat) and the answered reports with their ticks."""
-    out = io.StringIO()
-    out.write('{\n  "compute_events": ')
-    _write_canonical(
-        [
+    messages = trace.messages
+    if type(messages) is not _Messages:
+        messages = [
+            {
+                "msg_id": m.msg_id,
+                "tick": m.tick,
+                "src": m.src,
+                "dst": m.dst,
+                "medium": m.medium,
+                "purpose": m.purpose,
+                "wireless_distance": m.wireless_distance,
+            }
+            for m in messages
+        ]
+    return canonical_json({
+        "compute_events": [
             {"tick": e.tick, "site": e.site, "op_count": e.op_count}
             for e in trace.compute_events
         ],
-        out,
-        1,
-    )
-    out.write(',\n  "grids": ')
-    grids = gridset_list(trace.grid_set) if trace.grid_set is not None else None
-    _write_canonical(grids, out, 1)
-    out.write(',\n  "messages": ')
-    messages = trace.messages
-    if type(messages) is _Messages and messages:
-        out.write("[\n")
-        for i, text in enumerate(_block_texts(messages._items)):
-            if i:
-                out.write(",\n")
-            out.write(text)
-        out.write("\n  ]")
-    else:
-        _write_canonical(
-            [
-                {
-                    "msg_id": m.msg_id,
-                    "tick": m.tick,
-                    "src": m.src,
-                    "dst": m.dst,
-                    "medium": m.medium,
-                    "purpose": m.purpose,
-                    "wireless_distance": m.wireless_distance,
-                }
-                for m in messages
-            ],
-            out,
-            1,
-        )
-    out.write(',\n  "reports": ')
-    _write_canonical(_answered_list(trace.answered), out, 1)
-    out.write(',\n  "strategy": ')
-    _write_canonical(trace.strategy, out, 1)
-    out.write("\n}\n")
-    return out.getvalue()
+        "grids": gridset_list(trace.grid_set) if trace.grid_set is not None else None,
+        "messages": messages,
+        "reports": _answered_list(trace.answered),
+        "strategy": trace.strategy,
+    })
 
 
 class _TemplateTexts(dict):
@@ -248,11 +239,7 @@ def build_run_report(
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".6f")
-    return str(value)
+    return _json_float(value) if isinstance(value, float) else str(value)
 
 
 def cost_csv(costs: dict[str, CostReport]) -> str:

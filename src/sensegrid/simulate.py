@@ -86,6 +86,7 @@ from .workload import (
     ReadingRanges,
     Workload,
     _reading_columns,
+    _require_ranges,
     validate_workload,
 )
 
@@ -242,6 +243,14 @@ def route_sensor_request(
     distance (self-hops). The cloud lookup itself is accounted by the caller
     as one cloud operation.
     """
+    if not isinstance(grids, GridSet):
+        raise RoutingError(f"grids: expected a GridSet, got {type(grids).__name__}")
+    if not isinstance(sensors_by_id, dict):
+        raise RoutingError(
+            f"sensors_by_id: expected a dict, got {type(sensors_by_id).__name__}"
+        )
+    _require_nonnegative(tick, "tick")
+    _require_nonnegative(first_msg_id, "first_msg_id")
     for node_id in (requester, target):
         if node_id not in sensors_by_id:
             raise RoutingError(f"unknown sensor {node_id!r}")
@@ -255,6 +264,12 @@ def route_sensor_request(
     )
     legs = _request_legs(requester, coordinator, hop)
     return [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
+
+
+def _require_nonnegative(value: object, name: str) -> None:
+    """A tick or a message id: a non-negative, non-bool int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RoutingError(f"{name}: expected a non-negative integer")
 
 
 def _request_legs(requester: str, coordinator: str, hop: float):
@@ -274,9 +289,12 @@ def route_user_query(
 ) -> tuple[list[Message], list[ComputeEvent], EstimationReport]:
     """The qcps path for a user query: two infrastructure messages framing
     one cloud computation per requested service."""
+    _require_nonnegative(tick, "tick")
+    _require_nonnegative(first_msg_id, "first_msg_id")
+    report = answer_centric_query(query, cloud, segment_length, thresholds)
     messages = [Message(first_msg_id + i, tick, *row) for i, row in enumerate(_QUERY_ROWS)]
     events = [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
-    return messages, events, answer_centric_query(query, cloud, segment_length, thresholds)
+    return messages, events, report
 
 
 _QUERY_ROWS = (
@@ -313,8 +331,7 @@ def _answer_queries(
     not depend on row order (a mean is fsum / n).
     """
     _require_thresholds(thresholds)
-    if not isinstance(ranges, ReadingRanges):
-        raise ConfigError("ranges: expected a ReadingRanges")
+    _require_ranges(ranges)
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
@@ -469,6 +486,8 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
+    if not isinstance(trace, SimulationTrace):
+        raise ConfigError(f"trace: expected a SimulationTrace, got {type(trace).__name__}")
     if not isinstance(params, CostParams):
         raise ConfigError("cost_params: expected a CostParams")
     messages = trace.messages

@@ -68,6 +68,11 @@ class ReadingRanges:
 DEFAULT_RANGES = ReadingRanges()
 
 
+def _require_ranges(ranges: object) -> None:
+    if not isinstance(ranges, ReadingRanges):
+        raise ConfigError("ranges: expected a ReadingRanges")
+
+
 def _stream(seed: int, *key_parts: object) -> random.Random:
     """A PRNG keyed by the seed plus an arbitrary identity tuple."""
     material = "|".join([str(seed), *map(str, key_parts)]).encode()
@@ -112,6 +117,9 @@ def generate_reading(
     ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> Reading:
     """The reading a sensor produces at a tick; a pure function of its key."""
+    if not isinstance(sensor, SensorNode):
+        raise ConfigError(f"sensor: expected a SensorNode, got {type(sensor).__name__}")
+    _require_ranges(ranges)
     rng = _stream(seed, "reading", sensor.node_id, tick)
     values = _DRAW[sensor.sensor_type](rng, ranges)
     payload = PAYLOAD_TYPE[sensor.sensor_type](*values)
@@ -167,6 +175,14 @@ def _spread_ticks(count: int, duration: int) -> list[int]:
     return [(i * duration) // count for i in range(count)]
 
 
+def _scheduled_query(
+    i: int, tick: int, services: tuple[Service, ...]
+) -> tuple[int, CentricQuery]:
+    """The i-th query of a workload (from 0), scheduled at a tick: id
+    Q<i + 1>, window from tick 0 through the query tick."""
+    return tick, CentricQuery(f"Q{i + 1}", services, (0, tick))
+
+
 def generate_workload(
     cfg: ScenarioConfig,
     n_queries: int,
@@ -195,14 +211,7 @@ def generate_workload(
     seed = cfg.seed if seed is None else seed
 
     queries = tuple(
-        (
-            tick,
-            CentricQuery(
-                query_id=f"Q{i + 1}",
-                requested_services=ALL_SERVICES,
-                window=(0, tick),
-            ),
-        )
+        _scheduled_query(i, tick, ALL_SERVICES)
         for i, tick in enumerate(_spread_ticks(n_queries, cfg.duration_ticks))
     )
 
@@ -246,14 +255,7 @@ def load_workload(text: str) -> Workload:
         if not all(isinstance(name, str) for name in services):
             raise WorkloadError(f"{path}.services: expected service names")
         queries.append(
-            (
-                tick,
-                CentricQuery(
-                    query_id=f"Q{i + 1}",
-                    requested_services=tuple(service_from_name(s) for s in services),
-                    window=(0, tick),
-                ),
-            )
+            _scheduled_query(i, tick, tuple(service_from_name(s) for s in services))
         )
 
     requests = []

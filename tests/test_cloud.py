@@ -326,3 +326,63 @@ def test_means_whose_sum_overflows_are_finite():
     for column in ([top] * 5, [top, top, -top, top], [10**308, 1.5e308, 1.7e308]):
         exact = sum(map(Fraction, column)) / len(column)
         assert _mean(column) == pytest.approx(float(exact), rel=1e-15)
+
+
+_SPEED_PAYLOAD = SpeedPayload(25.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: answer_centric_query(CentricQuery("Q1", tuple(Service), (0, 0)), None, 600.0),
+            WrongDatabaseError,
+            "cloud: expected a Cloud, got NoneType",
+        ),
+        (
+            lambda: answer_centric_query(None, Cloud(), 600.0),
+            QueryError,
+            "query: expected a CentricQuery, got NoneType",
+        ),
+        (lambda: Cloud().ingest(None), WrongDatabaseError, "reading: expected a Reading, got NoneType"),
+        (
+            lambda: CloudDatabase(SensorType.SPEED).ingest(_SPEED_PAYLOAD),
+            WrongDatabaseError,
+            "reading: expected a Reading, got SpeedPayload",
+        ),
+        (lambda: Reading("a", "x", _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
+        (lambda: Reading("a", True, _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
+        (lambda: Reading("a", 1.0, _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
+    ],
+    ids=["no_cloud", "no_query", "cloud_ingest", "database_ingest", "str_tick", "bool_tick", "float_tick"],
+)
+def test_whole_object_arguments_of_the_wrong_type_raise_a_named_error(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "with_data"])
+def test_answers_check_segment_length_and_thresholds_whatever_the_services(empty):
+    # the query asks for neither velocity nor congestion, so no section reads them
+    cloud = Cloud() if empty else _populated_cloud()
+    query = CentricQuery("Q1", (Service.ENVIRONMENT,), (0, 0))
+    for segment_length, message in (("600", "expected a number"), (0.0, "must be positive")):
+        with pytest.raises(ConfigError, match=f"^segment_length: {message}$"):
+            answer_centric_query(query, cloud, segment_length)
+    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds$"):
+        answer_centric_query(query, cloud, 600.0, None)
+
+
+@pytest.mark.parametrize("sensor_type", list(SensorType), ids=lambda t: t.value)
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "with_data"])
+def test_estimators_reject_a_malformed_window(sensor_type, empty):
+    db = CloudDatabase(sensor_type)
+    if not empty:
+        db.ingest(_ONE_READING[sensor_type])
+    shapes = (None, (0,), ("a", "b"), (0, 1, 2), [0, 1], (0, True), (0.0, 1))
+    for window in shapes:
+        with pytest.raises(QueryError, match="^window must be a pair of integer ticks$"):
+            _ESTIMATORS[sensor_type](db, window)
+    for window in ((-1, 2), (3, 1)):
+        with pytest.raises(QueryError, match=r"^window must satisfy 0 <= from <= to$"):
+            _ESTIMATORS[sensor_type](db, window)

@@ -230,3 +230,22 @@ def test_election_tie_breaks_to_smallest_id():
 def test_grid_invariants_enforced():
     with pytest.raises(ConfigError):
         Grid("A", SensorType.VISION, ("A", "B"), coordinator="C")
+
+
+def test_override_pins_only_the_grid_it_names(testbed):
+    # threshold 50 splits vision into {VS_1, VS_3}, {VS_2} and {VS_4}; the
+    # pair's medoid is VS_1, and VS_3 is pinned in its place
+    vision = [s for s in testbed.sensors if s.sensor_type is SensorType.VISION]
+    grids = form_grids(vision, 50.0, {SensorType.VISION: "VS_3"})
+    assert [(g.members, g.coordinator, g.election) for g in grids.grids] == [
+        (("VS_1", "VS_3"), "VS_3", "overridden"),
+        (("VS_2",), "VS_2", "medoid"),
+        (("VS_4",), "VS_4", "medoid"),
+    ]
+    assert form_grids(vision, 50.0).grids[0].coordinator == "VS_1"
+
+
+@pytest.mark.parametrize("threshold", [0, 0.0, -1.0])
+def test_form_grids_rejects_a_threshold_that_is_not_positive(testbed, threshold):
+    with pytest.raises(ConfigError, match="^threshold: must be positive$"):
+        form_grids(testbed.sensors, threshold)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import pickle
 import random
 import re
@@ -20,6 +21,7 @@ from sensegrid import (
     Message,
     Position,
     QCPS,
+    QueryError,
     ReadingRanges,
     RoutingError,
     ScenarioConfig,
@@ -1191,3 +1193,44 @@ def test_integer_translation_leaves_grids_and_qcps_costs_unchanged(scenario, shi
     assert after.qcps == before.qcps
     counts = ("wireless_message_count", "infra_message_count", "cloud_op_count", "node_op_count")
     assert [getattr(after.flat, c) for c in counts] == [getattr(before.flat, c) for c in counts]
+
+
+def test_cost_of_rejects_a_trace_that_is_not_one():
+    with pytest.raises(ConfigError, match="^trace: expected a SimulationTrace, got NoneType$"):
+        cost_of(None, CostParams())
+
+
+@pytest.mark.parametrize("value", ["x", -1, True, 1.0], ids=["str", "negative", "bool", "float"])
+@pytest.mark.parametrize("name", ["tick", "first_msg_id"])
+def test_route_helpers_reject_a_tick_or_msg_id_that_is_not_a_count(
+    testbed, testbed_grids, name, value
+):
+    expected = f"^{name}: expected a non-negative integer$"
+    with pytest.raises(RoutingError, match=expected):
+        route_user_query(FOUR_SERVICE_QUERY, Cloud(), 600.0, **{name: value})
+    with pytest.raises(RoutingError, match=expected):
+        route_sensor_request("VS_1", "ES_2", testbed_grids, testbed.by_id(), **{name: value})
+
+
+def test_route_sensor_request_rejects_whole_arguments_of_the_wrong_type(testbed, testbed_grids):
+    with pytest.raises(RoutingError, match="^grids: expected a GridSet, got NoneType$"):
+        route_sensor_request("VS_1", "ES_2", None, testbed.by_id())
+    with pytest.raises(RoutingError, match="^sensors_by_id: expected a dict, got NoneType$"):
+        route_sensor_request("VS_1", "ES_2", testbed_grids, None)
+    with pytest.raises(QueryError, match="^query: expected a CentricQuery, got NoneType$"):
+        route_user_query(None, Cloud(), 600.0)
+
+
+def test_negative_zero_prices_print_one_zero_in_every_format(testbed):
+    # -0.0 is a non-negative price, and three of them make a -0.0 total
+    cfg = dataclasses.replace(testbed, cost_params=CostParams(-0.0, -0.0, -0.0))
+    comparison = compare_strategies(cfg, generate_workload(cfg, 2, 2))
+    assert math.copysign(1.0, comparison.qcps.monetized_total) == -1.0
+    rows = [line.split(",") for line in report.comparison_csv(comparison).splitlines()]
+    assert rows[-1] == ["monetized_total", "0.000000", "0.000000", "0.000000", "Unchanged"]
+    assert report.comparison_table(comparison).count("-0.000000") == 0
+    costs_csv = report.cost_csv({QCPS: comparison.qcps})
+    assert costs_csv.splitlines()[1].endswith(",0.000000")
+    assert '"monetized_total": 0.000000' in report.canonical_json(
+        report.comparison_dict(comparison)
+    )

@@ -327,3 +327,22 @@ def test_reading_ranges_accept_their_limits(testbed):
     )
     for sensor in testbed.sensors:
         generate_reading(sensor, 3, testbed.seed, ranges)
+
+
+_SENSOR = SensorNode("SS_1", SensorType.SPEED, Position(0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, 0, 1), "sensor: expected a SensorNode, got NoneType"),
+        (("VS_1", 0, 1), "sensor: expected a SensorNode, got str"),
+        ((_SENSOR, 0, 1, None), "ranges: expected a ReadingRanges"),
+        ((_SENSOR, "x", 1), "reading tick: expected an integer"),
+        ((_SENSOR, True, 1), "reading tick: expected an integer"),
+    ],
+    ids=["no_sensor", "sensor_id", "no_ranges", "str_tick", "bool_tick"],
+)
+def test_generate_reading_rejects_arguments_of_the_wrong_type(args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        generate_reading(*args)
