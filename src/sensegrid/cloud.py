@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
-from .topology import SensorType, _require_real
+from .topology import SensorType, _require_positive, _require_real, _require_type
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +76,12 @@ _PAYLOAD_CHECKS = {
 
 def _check_payload_columns(payload_type: type, columns: Sequence[Sequence]) -> None:
     """Raise the `ConfigError` that building the rows as payloads of this type,
-    in row order, would raise first; columns are in field order."""
-    failures = []
-    for order, (index, rejects, message) in enumerate(_PAYLOAD_CHECKS[payload_type]):
-        for row, value in enumerate(columns[index]):
-            if rejects(value):
-                failures.append((row, order, message))
-                break
-    if failures:
-        raise ConfigError(min(failures)[2])
+    in row order, would raise first; columns are in field order. The scan
+    only finds that some row fails; the payloads then say which error."""
+    for index, rejects, _ in _PAYLOAD_CHECKS[payload_type]:
+        if any(map(rejects, columns[index])):
+            for row in zip(*columns):
+                payload_type(*row)
 
 
 PAYLOAD_TYPE: dict[SensorType, type] = {
@@ -102,15 +99,16 @@ class Reading:
     payload: Payload
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sensor_id, str) or not self.sensor_id:
+            raise ConfigError("reading sensor_id: expected a non-empty string")
         if isinstance(self.tick, bool) or not isinstance(self.tick, int):
             raise ConfigError("reading tick: expected an integer")
         if self.tick < 0:
             raise ConfigError("reading tick: must be non-negative")
-
-
-def _require_reading(reading: object) -> None:
-    if not isinstance(reading, Reading):
-        raise WrongDatabaseError(f"reading: expected a Reading, got {type(reading).__name__}")
+        if not isinstance(self.payload, Payload):
+            raise ConfigError(
+                f"reading payload: expected a Payload, got {type(self.payload).__name__}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,7 @@ class CloudDatabase:
 
     def ingest(self, reading: Reading) -> None:
         """Append a reading to its sensor's table, creating the table lazily."""
-        _require_reading(reading)
+        _require_type(reading, Reading, "reading", WrongDatabaseError)
         if not isinstance(reading.payload, PAYLOAD_TYPE[self.sensor_type]):
             raise WrongDatabaseError(
                 f"{self.name} stores {self.sensor_type.value} readings, "
@@ -166,12 +164,11 @@ class Cloud:
         }
 
     def ingest(self, reading: Reading) -> None:
-        _require_reading(reading)
+        _require_type(reading, Reading, "reading", WrongDatabaseError)
         for sensor_type, payload_cls in PAYLOAD_TYPE.items():
             if isinstance(reading.payload, payload_cls):
                 self.databases[sensor_type].ingest(reading)
                 return
-        raise WrongDatabaseError(f"unrecognized payload {type(reading.payload).__name__}")
 
     def db(self, sensor_type: SensorType) -> CloudDatabase:
         return self.databases[sensor_type]
@@ -335,16 +332,10 @@ def _road_condition(
     )
 
 
-def _require_segment_length(segment_length: object) -> None:
-    _require_real(segment_length, "segment_length")
-    if not segment_length > 0:
-        raise ConfigError("segment_length: must be positive")
-
-
 def _velocity_travel_time(
     vehicle_speed: Sequence[float], segment_length: float
 ) -> VelocityTravelTimeResult:
-    _require_segment_length(segment_length)
+    _require_positive(segment_length, "segment_length")
     if not vehicle_speed:
         return VelocityTravelTimeResult(data_available=False)
     mean_speed = _mean(vehicle_speed)
@@ -458,11 +449,9 @@ def answer_centric_query(
     thresholds: CongestionThresholds = CongestionThresholds(),
 ) -> EstimationReport:
     """Answer a centric query: one section per requested service, nothing more."""
-    if not isinstance(query, CentricQuery):
-        raise QueryError(f"query: expected a CentricQuery, got {type(query).__name__}")
-    if not isinstance(cloud, Cloud):
-        raise WrongDatabaseError(f"cloud: expected a Cloud, got {type(cloud).__name__}")
-    _require_segment_length(segment_length)
+    _require_type(query, CentricQuery, "query", QueryError)
+    _require_type(cloud, Cloud, "cloud", WrongDatabaseError)
+    _require_positive(segment_length, "segment_length")
     _require_thresholds(thresholds)
     sections: dict[Service, SectionResult] = {}
     for service in query.requested_services:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, OverrideError
-from .topology import SensorNode, SensorType, _require_real, distance
+from .topology import SensorNode, SensorType, _require_positive, distance
 
 MEDOID = "medoid"
 OVERRIDDEN = "overridden"
@@ -78,9 +78,7 @@ def form_grids(
     Candidate pairs come from a sweep over each type's sensors in x order,
     so no N x N distance matrix is built.
     """
-    _require_real(threshold, "threshold")
-    if not threshold > 0:
-        raise ConfigError("threshold: must be positive")
+    _require_positive(threshold, "threshold")
     sensors = list(sensors)
     if not sensors:
         return GridSet(())
@@ -108,10 +106,10 @@ def form_grids(
                 try:
                     if math.sqrt(dx * dx) >= threshold:
                         break
-                except OverflowError:  # an integer gap no float holds
+                    if distance(p, q) < threshold:
+                        parent[root(indices[a])] = root(indices[b])
+                except (OverflowError, ConfigError):  # a gap whose square no float holds
                     raise ConfigError(_TOO_FAR) from None
-                if distance(p, q) < threshold:
-                    parent[root(indices[a])] = root(indices[b])
 
     components: dict[int, list[SensorNode]] = {}
     for i, sensor in enumerate(sensors):

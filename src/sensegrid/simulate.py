@@ -79,6 +79,8 @@ from .topology import (
     ScenarioConfig,
     SensorNode,
     SensorType,
+    _require_count,
+    _require_type,
     distance,
 )
 from .workload import (
@@ -167,23 +169,14 @@ class _Messages(Sequence):
         tick, block = self._items[k]
         return Message(i, tick, *block.rows[i - self._ends[k]])
 
-    def _rows(self):
-        """(tick, src, dst, medium, purpose, distance) per message, in order."""
-        for tick, block in self._items:
-            for row in block.rows:
-                yield (tick, *row)
-
     def __iter__(self):
-        for i, row in enumerate(self._rows()):
+        rows = ((tick, *row) for tick, block in self._items for row in block.rows)
+        for i, row in enumerate(rows):
             yield Message(i, *row)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _Messages):
-            return len(self) == len(other) and all(
-                map(operator.eq, self._rows(), other._rows())
-            )
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
+        if isinstance(other, (_Messages, tuple)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -200,13 +193,24 @@ class _Messages(Sequence):
 class SimulationTrace:
     """One strategy's run. `messages` is in emission order; a trace from
     `run_scenario` keeps its transmission rows and builds each `Message` on
-    read, and an API-built trace may hold any sequence of messages."""
+    read, and an API-built trace may hold any sequence of messages. Only
+    the containers are checked, so building a trace costs O(1)."""
 
     strategy: str
     messages: Sequence[Message]
     compute_events: tuple[ComputeEvent, ...]
     grid_set: GridSet | None
     answered: tuple[tuple[int, EstimationReport], ...]
+
+    def __post_init__(self) -> None:
+        _require_type(self.strategy, str, "trace.strategy", ConfigError)
+        if isinstance(self.messages, str) or not isinstance(self.messages, Sequence):
+            raise ConfigError("trace.messages: expected a sequence of Message")
+        for name in ("compute_events", "answered"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"trace.{name}: expected a tuple or list")
+        if self.grid_set is not None:
+            _require_type(self.grid_set, GridSet, "trace.grid_set", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -243,14 +247,10 @@ def route_sensor_request(
     distance (self-hops). The cloud lookup itself is accounted by the caller
     as one cloud operation.
     """
-    if not isinstance(grids, GridSet):
-        raise RoutingError(f"grids: expected a GridSet, got {type(grids).__name__}")
-    if not isinstance(sensors_by_id, dict):
-        raise RoutingError(
-            f"sensors_by_id: expected a dict, got {type(sensors_by_id).__name__}"
-        )
-    _require_nonnegative(tick, "tick")
-    _require_nonnegative(first_msg_id, "first_msg_id")
+    _require_type(grids, GridSet, "grids", RoutingError)
+    _require_type(sensors_by_id, dict, "sensors_by_id", RoutingError)
+    _require_count(tick, "tick", RoutingError)
+    _require_count(first_msg_id, "first_msg_id", RoutingError)
     for node_id in (requester, target):
         if node_id not in sensors_by_id:
             raise RoutingError(f"unknown sensor {node_id!r}")
@@ -264,12 +264,6 @@ def route_sensor_request(
     )
     legs = _request_legs(requester, coordinator, hop)
     return [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
-
-
-def _require_nonnegative(value: object, name: str) -> None:
-    """A tick or a message id: a non-negative, non-bool int."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise RoutingError(f"{name}: expected a non-negative integer")
 
 
 def _request_legs(requester: str, coordinator: str, hop: float):
@@ -289,8 +283,8 @@ def route_user_query(
 ) -> tuple[list[Message], list[ComputeEvent], EstimationReport]:
     """The qcps path for a user query: two infrastructure messages framing
     one cloud computation per requested service."""
-    _require_nonnegative(tick, "tick")
-    _require_nonnegative(first_msg_id, "first_msg_id")
+    _require_count(tick, "tick", RoutingError)
+    _require_count(first_msg_id, "first_msg_id", RoutingError)
     report = answer_centric_query(query, cloud, segment_length, thresholds)
     messages = [Message(first_msg_id + i, tick, *row) for i, row in enumerate(_QUERY_ROWS)]
     events = [ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services]
@@ -383,10 +377,8 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
-    if not isinstance(cfg, ScenarioConfig):
-        raise ConfigError(f"cfg: expected a ScenarioConfig, got {type(cfg).__name__}")
-    if not isinstance(workload, Workload):
-        raise WorkloadError(f"workload: expected a Workload, got {type(workload).__name__}")
+    _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
+    _require_type(workload, Workload, "workload", WorkloadError)
     _check_extent(cfg.sensors)
     validate_workload(workload, cfg)
     events: list[ComputeEvent] = []
@@ -486,8 +478,7 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     """Sum a trace into its cost components plus the monetized total."""
-    if not isinstance(trace, SimulationTrace):
-        raise ConfigError(f"trace: expected a SimulationTrace, got {type(trace).__name__}")
+    _require_type(trace, SimulationTrace, "trace", ConfigError)
     if not isinstance(params, CostParams):
         raise ConfigError("cost_params: expected a CostParams")
     messages = trace.messages

@@ -1,7 +1,9 @@
 """Sensor nodes, positions, and scenario configuration.
 
 Everything here is an immutable value type: a topology is data, and the
-rest of the package treats it as read-only.
+rest of the package treats it as read-only. This module also holds the
+argument rules the other modules share (`_require_*`), so each rule and
+its message are written once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, SenseGridError
 
 
 class SensorType(enum.Enum):
@@ -33,6 +35,18 @@ GATEWAY_SITE = "gateway"
 _RESERVED_IDS = frozenset({CLOUD_SITE, USER_SITE, GATEWAY_SITE})
 
 
+def _require_type(value: object, cls: type, name: str, error: type[SenseGridError]) -> None:
+    """Reject a whole argument that is not an instance of cls."""
+    if not isinstance(value, cls):
+        raise error(f"{name}: expected a {cls.__name__}, got {type(value).__name__}")
+
+
+def _require_count(value: object, name: str, error: type[SenseGridError]) -> None:
+    """Reject anything but a non-negative, non-bool int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise error(f"{name}: expected a non-negative integer")
+
+
 def _require_real(value: float, name: str) -> None:
     """Reject anything but an int or a float; a bool passes as an int."""
     if not isinstance(value, (int, float)):
@@ -48,6 +62,13 @@ def _require_finite(value: float, name: str) -> None:
         raise ConfigError(f"{name}: too large for a float") from None
     if not finite:
         raise ConfigError(f"{name}: must be finite")
+
+
+def _require_positive(value: float, name: str) -> None:
+    """Reject non-numbers and numbers that are not above 0 (NaN included)."""
+    _require_real(value, name)
+    if not value > 0:
+        raise ConfigError(f"{name}: must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,12 +140,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name}: expected an integer")
-        _require_finite(self.threshold, "threshold")
-        if not self.threshold > 0:
-            raise ConfigError("threshold: must be positive")
-        _require_finite(self.segment_length, "segment_length")
-        if not self.segment_length > 0:
-            raise ConfigError("segment_length: must be positive")
+        for name in ("threshold", "segment_length"):
+            _require_finite(getattr(self, name), name)
+            _require_positive(getattr(self, name), name)
         if self.duration_ticks < 0:
             raise ConfigError("duration_ticks: must be non-negative")
         if not 0 <= self.seed < 2**64:

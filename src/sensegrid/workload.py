@@ -21,7 +21,10 @@ from .cloud import (
     service_from_name,
 )
 from .errors import ConfigError, WorkloadError
-from .topology import ScenarioConfig, SensorNode, SensorType, _require_finite, _require_real
+from .topology import (
+    ScenarioConfig, SensorNode, SensorType,
+    _require_count, _require_finite, _require_positive, _require_real, _require_type,
+)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,7 @@ class ReadingRanges:
                 _require_finite(bound, f"ranges.{name}")
             if bounds[0] > bounds[1]:
                 raise ConfigError(f"ranges.{name}: low bound exceeds high bound")
-        if self.speed[0] <= 0:
-            raise ConfigError("ranges.speed: must be positive")
+        _require_positive(self.speed[0], "ranges.speed")
         if self.humidity[0] < 0 or self.humidity[1] > 100:
             raise ConfigError("ranges.humidity: must lie in [0, 100]")
         if self.light[0] < 0:
@@ -117,8 +119,7 @@ def generate_reading(
     ranges: ReadingRanges = DEFAULT_RANGES,
 ) -> Reading:
     """The reading a sensor produces at a tick; a pure function of its key."""
-    if not isinstance(sensor, SensorNode):
-        raise ConfigError(f"sensor: expected a SensorNode, got {type(sensor).__name__}")
+    _require_type(sensor, SensorNode, "sensor", ConfigError)
     _require_ranges(ranges)
     rng = _stream(seed, "reading", sensor.node_id, tick)
     values = _DRAW[sensor.sensor_type](rng, ranges)
@@ -195,11 +196,9 @@ def generate_workload(
     Query windows run from tick 0 through the query tick. Request pairs are
     drawn uniformly over distinct ordered sensor pairs from a keyed stream.
     """
-    if not isinstance(cfg, ScenarioConfig):
-        raise ConfigError(f"cfg: expected a ScenarioConfig, got {type(cfg).__name__}")
-    for name, count in (("n_queries", n_queries), ("n_requests", n_requests)):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise WorkloadError(f"{name}: expected a non-negative integer")
+    _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
+    _require_count(n_queries, "n_queries", WorkloadError)
+    _require_count(n_requests, "n_requests", WorkloadError)
     if seed is not None and (
         isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64
     ):
@@ -247,8 +246,7 @@ def load_workload(text: str) -> Workload:
         if not isinstance(entry, dict) or set(entry) != {"tick", "services"}:
             raise WorkloadError(f"{path}: expected an object with tick and services")
         tick = entry["tick"]
-        if isinstance(tick, bool) or not isinstance(tick, int) or tick < 0:
-            raise WorkloadError(f"{path}.tick: expected a non-negative integer")
+        _require_count(tick, f"{path}.tick", WorkloadError)
         services = entry["services"]
         if not isinstance(services, list) or not services:
             raise WorkloadError(f"{path}.services: expected a non-empty array")
@@ -266,8 +264,7 @@ def load_workload(text: str) -> Workload:
                 f"{path}: expected an object with tick, requester and target"
             )
         tick = entry["tick"]
-        if isinstance(tick, bool) or not isinstance(tick, int) or tick < 0:
-            raise WorkloadError(f"{path}.tick: expected a non-negative integer")
+        _require_count(tick, f"{path}.tick", WorkloadError)
         if not isinstance(entry["requester"], str) or not isinstance(entry["target"], str):
             raise WorkloadError(f"{path}: requester and target must be sensor ids")
         requests.append((tick, entry["requester"], entry["target"]))

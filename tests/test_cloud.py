@@ -386,3 +386,28 @@ def test_estimators_reject_a_malformed_window(sensor_type, empty):
     for window in ((-1, 2), (3, 1)):
         with pytest.raises(QueryError, match=r"^window must satisfy 0 <= from <= to$"):
             _ESTIMATORS[sensor_type](db, window)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, 0, _SPEED_PAYLOAD), "reading sensor_id: expected a non-empty string"),
+        (("", 0, _SPEED_PAYLOAD), "reading sensor_id: expected a non-empty string"),
+        (("a", -1, _SPEED_PAYLOAD), "reading tick: must be non-negative"),
+        (("a", 0, None), "reading payload: expected a Payload, got NoneType"),
+        (("a", 0, 3.0), "reading payload: expected a Payload, got float"),
+    ],
+    ids=["none_id", "empty_id", "negative_tick", "no_payload", "float_payload"],
+)
+def test_reading_rejects_a_field_of_the_wrong_kind(args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Reading(*args)
+
+
+def test_a_database_holds_only_readings_with_str_ids():
+    # a window read sorts the table keys, which must all be str
+    sdb = CloudDatabase(SensorType.SPEED)
+    sdb.ingest(_speed("a", 0, 3.0))
+    with pytest.raises(ConfigError, match="^reading sensor_id: "):
+        sdb.ingest(_speed(None, 0, 3.0))
+    assert estimate_velocity_travel_time(sdb, (0, 1), 10.0).mean_speed == 3.0

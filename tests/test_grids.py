@@ -5,6 +5,7 @@ import pytest
 from sensegrid import (
     ConfigError,
     Grid,
+    GridSet,
     OverrideError,
     Position,
     SensorNode,
@@ -249,3 +250,30 @@ def test_override_pins_only_the_grid_it_names(testbed):
 def test_form_grids_rejects_a_threshold_that_is_not_positive(testbed, threshold):
     with pytest.raises(ConfigError, match="^threshold: must be positive$"):
         form_grids(testbed.sensors, threshold)
+
+
+def test_form_grids_rejects_a_y_gap_whose_square_no_float_holds():
+    # the x gap is 0, so the sweep's own guard passes and distance() overflows
+    pair = [
+        SensorNode("A", SensorType.SPEED, Position(0, 0, 0)),
+        SensorNode("B", SensorType.SPEED, Position(0, 2**600, 0)),
+    ]
+    with pytest.raises(ConfigError, match=r"^sensors: positions too far apart; "):
+        form_grids(pair, 1.0)
+
+
+def test_grid_sets_reject_malformed_grids():
+    with pytest.raises(ConfigError, match="^grid members must be non-empty$"):
+        Grid("A", SensorType.SPEED, (), "A")
+    pair = Grid("A", SensorType.SPEED, ("A", "B"), "A")
+    with pytest.raises(ConfigError, match="^node 'B' appears in more than one grid$"):
+        GridSet((pair, Grid("B", SensorType.SPEED, ("B",), "B")))
+    with pytest.raises(ConfigError, match="^node 'Z' is not covered by this grid set$"):
+        GridSet((pair,)).grid_for("Z")
+
+
+def test_election_rejects_no_members_and_unindexed_members():
+    with pytest.raises(ConfigError, match="^cannot elect a coordinator from an empty member set$"):
+        elect_coordinator_ids((), {})
+    with pytest.raises(ConfigError, match="^grid member 'A' missing from the sensor index$"):
+        elect_coordinator_ids(("A",), {})

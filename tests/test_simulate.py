@@ -1234,3 +1234,44 @@ def test_negative_zero_prices_print_one_zero_in_every_format(testbed):
     assert '"monetized_total": 0.000000' in report.canonical_json(
         report.comparison_dict(comparison)
     )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"strategy": None}, "trace.strategy: expected a str, got NoneType"),
+        ({"messages": None}, "trace.messages: expected a sequence of Message"),
+        ({"messages": "abc"}, "trace.messages: expected a sequence of Message"),
+        ({"compute_events": None}, "trace.compute_events: expected a tuple or list"),
+        ({"answered": None}, "trace.answered: expected a tuple or list"),
+        ({"grid_set": ()}, "trace.grid_set: expected a GridSet, got tuple"),
+    ],
+    ids=["strategy", "no_messages", "str_messages", "compute_events", "answered", "grid_set"],
+)
+def test_simulation_trace_rejects_containers_of_the_wrong_kind(fields, message):
+    # cost_of and serialize_trace iterate these fields, so a wrong kind stops here
+    base = {"strategy": QCPS, "messages": (), "compute_events": (), "grid_set": None, "answered": ()}
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SimulationTrace(**{**base, **fields})
+
+
+def test_simulation_trace_accepts_lists_and_a_grid_set(testbed):
+    grids = form_grids(testbed.sensors, testbed.threshold)
+    trace = SimulationTrace(QCPS, [_sent()], [ComputeEvent(0, CLOUD_SITE)], grids, [])
+    assert cost_of(trace, testbed.cost_params).cloud_op_count == 1
+
+
+def test_run_scenario_rejects_an_unknown_strategy_and_a_query_after_the_run(testbed):
+    workload = generate_workload(testbed, 1, 0)
+    with pytest.raises(ConfigError, match=r"^strategy: expected one of \('qcps', 'flat'\), got 'mesh'$"):
+        run_scenario(testbed, workload, "mesh")
+    late = Workload(queries=((100, CentricQuery("Q1", (Service.ENVIRONMENT,), (0, 1))),))
+    for strategy in (QCPS, FLAT):
+        with pytest.raises(WorkloadError, match="^query Q1: tick 100 outside the run$"):
+            run_scenario(testbed, late, strategy)
+
+
+def test_route_sensor_request_rejects_a_sensor_the_grid_set_does_not_cover(testbed):
+    grids = form_grids([s for s in testbed.sensors if s.node_id != "SS_2"], testbed.threshold)
+    with pytest.raises(RoutingError, match="^node 'SS_2' is not covered by this grid set$"):
+        route_sensor_request("SS_1", "SS_2", grids, testbed.by_id())

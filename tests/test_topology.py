@@ -454,3 +454,40 @@ def test_value_types_built_from_junk_construct_or_raise_a_sensegrid_error(data):
         kind(**{**_REQUIRED[kind], **junk})
     except SenseGridError:
         pass
+
+
+def _edited_testbed_text(edit):
+    raw = json.loads(dump_topology(_TESTBED))
+    edit(raw)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw["sensors"][0].update(x=True), "config.sensors[0].x: expected a number"),
+        (lambda raw: raw["sensors"][0].update(id=5), "config.sensors[0].id: expected a non-empty string"),
+        (lambda raw: raw.update(cost_params=[1.0]), "config.cost_params: expected an object"),
+        (
+            lambda raw: raw.update(coordinator_overrides=["VS_1"]),
+            "config.coordinator_overrides: expected an object",
+        ),
+        (
+            lambda raw: raw.update(coordinator_overrides={"radar": "VS_1"}),
+            "config.coordinator_overrides.radar: unknown sensor type",
+        ),
+        (
+            lambda raw: raw.update(coordinator_overrides={"vision": 1}),
+            "config.coordinator_overrides.vision: expected a sensor id",
+        ),
+    ],
+    ids=["bool_x", "int_id", "cost_params_array", "overrides_array", "override_type", "override_id"],
+)
+def test_load_topology_names_each_malformed_field(edit, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_topology(_edited_testbed_text(edit))
+
+
+def test_load_topology_rejects_a_top_level_array():
+    with pytest.raises(ConfigError, match="^config: expected a JSON object$"):
+        load_topology("[]")

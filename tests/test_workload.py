@@ -9,6 +9,7 @@ from sensegrid import (
     CentricQuery,
     ConfigError,
     Position,
+    QueryError,
     ReadingRanges,
     SensorNode,
     SensorType,
@@ -346,3 +347,16 @@ _SENSOR = SensorNode("SS_1", SensorType.SPEED, Position(0, 0, 0))
 def test_generate_reading_rejects_arguments_of_the_wrong_type(args, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         generate_reading(*args)
+
+
+def test_generate_workload_rejects_requests_among_fewer_than_two_sensors(testbed):
+    one = dataclasses.replace(testbed, sensors=testbed.sensors[:1])
+    assert generate_workload(one, 3, 0).requests == ()
+    with pytest.raises(WorkloadError, match="^inter-sensor requests need at least two sensors$"):
+        generate_workload(one, 0, 1)
+
+
+def test_load_workload_rejects_an_unknown_service_name():
+    text = json.dumps({"queries": [{"tick": 1, "services": ["weather"]}]})
+    with pytest.raises(QueryError, match=r"^unknown service 'weather'; expected one of \["):
+        load_workload(text)
