@@ -3,16 +3,18 @@
 The cloud keeps one database per sensor type (VDB, SDB, EDB, MDB) with one
 append-only table per sensor. Estimators are pure reads over a tick window;
 an empty window is a flagged absence, never an error. Each estimator's
-formula is one function over the window's payload columns, so the public
-`estimate_*` functions (fed from a database's rows) and the simulator's
-answer path (fed from generated column batches) compute the same values.
+formula is one function over the window's payload columns, and `_answer`
+is the one rule from a query to its report: service to sensor type,
+formula, `EstimationReport`. Its callers differ only in their column
+source: `answer_centric_query` reads a `Cloud`'s databases, and the
+simulator's answer path reads generated column batches.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
@@ -213,16 +215,18 @@ class CentricQuery:
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.query_id, str) or not self.query_id:
+            raise QueryError("query_id: expected a non-empty string")
+        prefix = f"query {self.query_id}: "
+        _require_type(self.requested_services, tuple, prefix + "requested_services", QueryError)
         if not self.requested_services:
-            raise QueryError(f"query {self.query_id}: requested_services must be non-empty")
+            raise QueryError(prefix + "requested_services must be non-empty")
         for service in self.requested_services:
             if not isinstance(service, Service):
-                raise QueryError(
-                    f"query {self.query_id}: requested_services: {service!r} is not a Service"
-                )
+                raise QueryError(f"{prefix}requested_services: {service!r} is not a Service")
         if len(set(self.requested_services)) != len(self.requested_services):
-            raise QueryError(f"query {self.query_id}: duplicate service requested")
-        _require_window(self.window, f"query {self.query_id}: ")
+            raise QueryError(prefix + "duplicate service requested")
+        _require_window(self.window, prefix)
 
 
 def _require_window(window: object, prefix: str) -> None:
@@ -338,13 +342,15 @@ def _velocity_travel_time(
     _require_positive(segment_length, "segment_length")
     if not vehicle_speed:
         return VelocityTravelTimeResult(data_available=False)
-    mean_speed = _mean(vehicle_speed)
-    if mean_speed == 0:
-        return VelocityTravelTimeResult(data_available=False)
+    mean_speed = _mean(vehicle_speed)  # positive, as every speed is
+    try:
+        travel_time = segment_length / mean_speed
+    except OverflowError:  # an int segment_length that no float holds
+        travel_time = math.inf
+    if travel_time == math.inf:
+        raise ConfigError("segment_length: its travel time at the mean speed overflows a float")
     return VelocityTravelTimeResult(
-        data_available=True,
-        mean_speed=mean_speed,
-        travel_time_ticks=segment_length / mean_speed,
+        data_available=True, mean_speed=mean_speed, travel_time_ticks=travel_time
     )
 
 
@@ -380,22 +386,6 @@ def _congestion(
         congestion_level=level,
         any_crash=any(crash),
     )
-
-
-def _estimate(
-    service: Service,
-    columns: Sequence[Sequence],
-    segment_length: float,
-    thresholds: CongestionThresholds,
-) -> SectionResult:
-    """One service's section from its sensor type's window columns."""
-    if service is Service.ROAD_CONDITION:
-        return _road_condition(*columns)
-    if service is Service.VELOCITY_TRAVEL_TIME:
-        return _velocity_travel_time(*columns, segment_length)
-    if service is Service.ENVIRONMENT:
-        return _environment(*columns)
-    return _congestion(*columns, thresholds)
 
 
 def _window_columns(
@@ -453,9 +443,27 @@ def answer_centric_query(
     _require_type(cloud, Cloud, "cloud", WrongDatabaseError)
     _require_positive(segment_length, "segment_length")
     _require_thresholds(thresholds)
+    return _answer(
+        query, lambda t: _window_columns(cloud.db(t), query.window, t), segment_length, thresholds
+    )
+
+
+def _answer(
+    query: CentricQuery,
+    columns_of: Callable[[SensorType], Sequence[Sequence]],
+    segment_length: float,
+    thresholds: CongestionThresholds,
+) -> EstimationReport:
+    """The one query-to-report rule, over the columns `columns_of(sensor type)` gives."""
     sections: dict[Service, SectionResult] = {}
     for service in query.requested_services:
-        sensor_type = SERVICE_SENSOR_TYPE[service]
-        columns = _window_columns(cloud.db(sensor_type), query.window, sensor_type)
-        sections[service] = _estimate(service, columns, segment_length, thresholds)
+        columns = columns_of(SERVICE_SENSOR_TYPE[service])
+        if service is Service.ROAD_CONDITION:
+            sections[service] = _road_condition(*columns)
+        elif service is Service.VELOCITY_TRAVEL_TIME:
+            sections[service] = _velocity_travel_time(*columns, segment_length)
+        elif service is Service.ENVIRONMENT:
+            sections[service] = _environment(*columns)
+        else:
+            sections[service] = _congestion(*columns, thresholds)
     return EstimationReport(query_id=query.query_id, sections=sections)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, OverrideError
-from .topology import SensorNode, SensorType, _require_positive, distance
+from .topology import SensorNode, SensorType, _require_positive, _require_type, distance
 
 MEDOID = "medoid"
 OVERRIDDEN = "overridden"
@@ -79,12 +79,17 @@ def form_grids(
     so no N x N distance matrix is built.
     """
     _require_positive(threshold, "threshold")
-    sensors = list(sensors)
-    if not sensors:
-        return GridSet(())
+    if not isinstance(sensors, (list, tuple)):
+        raise ConfigError(f"sensors: expected a list or tuple, got {type(sensors).__name__}")
+    if overrides is not None:
+        _require_type(overrides, dict, "overrides", ConfigError)
+        for sensor_type, node_id in overrides.items():
+            _require_type(sensor_type, SensorType, "overrides key", ConfigError)
+            _require_type(node_id, str, f"overrides.{sensor_type.value}", ConfigError)
 
     by_type: dict[SensorType, list[int]] = {}
     for i, sensor in enumerate(sensors):
+        _require_type(sensor, SensorNode, f"sensors[{i}]", ConfigError)
         by_type.setdefault(sensor.sensor_type, []).append(i)
     # union-find with path halving; which root a union keeps never shows
     parent = list(range(len(sensors)))

@@ -42,7 +42,9 @@ answered from the readings its sensors sensed inside its window up to the
 query tick. So `run_scenario` computes the answers once per run, on one
 answer path, and `compare_strategies` computes none. That path generates
 each (sensor type, tick) batch of readings once, as payload columns, and
-the estimators read the columns; it builds no `Reading` and no `Cloud`.
+hands `cloud._answer`, the one query-to-report rule that
+`answer_centric_query` also uses, a column source over those batches; it
+builds no `Reading` and no `Cloud`.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -63,7 +65,7 @@ from .cloud import (
     CongestionThresholds,
     EstimationReport,
     SERVICE_SENSOR_TYPE,
-    _estimate,
+    _answer,
     _mean,
     _require_thresholds,
     answer_centric_query,
@@ -318,37 +320,33 @@ def _answer_queries(
     Answers are strategy-independent, so this is the one answer path:
     `run_scenario` and the CLI's `run` call it once per run, and
     `compare_strategies` never does. A query sees the readings sensed inside
-    its window up to its tick. Each (sensor type, tick) batch is generated
-    once, as payload columns, the first time a window clipped to
-    min(end, tick, last sensed tick) covers it, and each service's section
-    is computed from the columns of its window's batches. The estimators do
-    not depend on row order (a mean is fsum / n).
+    its window up to its tick: `cloud._answer` reads the columns of the
+    (sensor type, tick) batches over its window clipped to
+    min(end, tick, last sensed tick), and each batch is generated once.
     """
     _require_thresholds(thresholds)
     _require_ranges(ranges)
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
-    batches: dict[tuple[SensorType, int], list[tuple]] = {}
-    last_sensed = cfg.duration_ticks - 1
+    batch = cache(lambda t, tick: _reading_columns(sensors_of[t], tick, cfg.seed, ranges))
     answered = []
     for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
         start, end = query.window
-        sections = {}
-        for service in query.requested_services:
-            sensor_type = SERVICE_SENSOR_TYPE[service]
-            columns = [[] for _ in fields(PAYLOAD_TYPE[sensor_type])]
-            for window_tick in range(start, min(end, tick, last_sensed) + 1):
-                batch = batches.get((sensor_type, window_tick))
-                if batch is None:
-                    batch = batches[sensor_type, window_tick] = _reading_columns(
-                        sensors_of[sensor_type], window_tick, cfg.seed, ranges
-                    )
-                for column, values in zip(columns, batch):
-                    column.extend(values)
-            sections[service] = _estimate(service, columns, cfg.segment_length, thresholds)
-        answered.append((tick, EstimationReport(query.query_id, sections)))
+        ticks = range(start, min(end, tick, cfg.duration_ticks - 1) + 1)
+        columns_of = partial(_batch_columns, batch, ticks)
+        answered.append((tick, _answer(query, columns_of, cfg.segment_length, thresholds)))
     return tuple(answered)
+
+
+def _batch_columns(batch: Callable, ticks: range, sensor_type: SensorType) -> list[list]:
+    """A sensor type's payload columns over the ticks, joined in tick order
+    from its batches: `batch(sensor type, tick)` is the run's cached batch."""
+    columns = [[] for _ in fields(PAYLOAD_TYPE[sensor_type])]
+    for tick in ticks:
+        for column, values in zip(columns, batch(sensor_type, tick)):
+            column.extend(values)
+    return columns
 
 
 def run_scenario(

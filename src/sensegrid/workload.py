@@ -52,6 +52,8 @@ class ReadingRanges:
                 _require_finite(bound, f"ranges.{name}")
             if bounds[0] > bounds[1]:
                 raise ConfigError(f"ranges.{name}: low bound exceeds high bound")
+            if bounds[1] - bounds[0] == float("inf"):  # a draw would be inf
+                raise ConfigError(f"ranges.{name}: its width overflows a float")
         _require_positive(self.speed[0], "ranges.speed")
         if self.humidity[0] < 0 or self.humidity[1] > 100:
             raise ConfigError("ranges.humidity: must lie in [0, 100]")

@@ -225,6 +225,14 @@ def test_query_validation():
         CentricQuery("Q1", ("environment",), (0, 1))
     with pytest.raises(QueryError, match="requested_services"):
         CentricQuery("Q1", (Service.ENVIRONMENT, None), (0, 1))
+    # the services are a tuple, so a query hashes and its list is fixed
+    for services in ([Service.ENVIRONMENT], (s for s in [Service.ENVIRONMENT]), 3):
+        with pytest.raises(QueryError, match="^query Q1: requested_services: expected a tuple"):
+            CentricQuery("Q1", services, (0, 1))
+    # the id is a non-empty string, which a trace can write
+    for query_id in (object(), "", 1, None):
+        with pytest.raises(QueryError, match="^query_id: expected a non-empty string$"):
+            CentricQuery(query_id, (Service.ENVIRONMENT,), (0, 1))
     # the window is exactly two non-bool integer ticks
     for window in ((0, 1.5), (False, True), (0, True), (0, 1, 2), (0,), [0, 1], "01"):
         with pytest.raises(QueryError, match="window"):
@@ -314,6 +322,24 @@ def test_estimator_arguments_of_the_wrong_type_raise_a_named_error(empty):
             call()
     with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds$"):
         estimate_congestion(mdb, (0, 0), None)
+
+
+def test_a_travel_time_that_overflows_raises_a_named_error():
+    message = "^segment_length: its travel time at the mean speed overflows a float$"
+    cloud = Cloud()
+    cloud.ingest(_speed("SS_1", 0, 1e-310))
+    cloud.ingest(_speed("SS_1", 1, 25.0))
+    sdb = cloud.db(SensorType.SPEED)
+    query = CentricQuery("Q1", (Service.VELOCITY_TRAVEL_TIME,), (0, 0))
+    for call in (
+        lambda: estimate_velocity_travel_time(sdb, (0, 0), 600.0),
+        lambda: answer_centric_query(query, cloud, 600.0),
+        # an int length that no float holds, at an ordinary speed
+        lambda: estimate_velocity_travel_time(sdb, (1, 1), 10**400),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            call()
+    assert estimate_velocity_travel_time(sdb, (1, 1), 600.0).travel_time_ticks == 24.0
 
 
 def test_means_whose_sum_overflows_are_finite():

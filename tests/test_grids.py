@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -277,3 +278,24 @@ def test_election_rejects_no_members_and_unindexed_members():
         elect_coordinator_ids((), {})
     with pytest.raises(ConfigError, match="^grid member 'A' missing from the sensor index$"):
         elect_coordinator_ids(("A",), {})
+
+
+_TESTBED_SENSORS = builtin_testbed().sensors
+
+
+@pytest.mark.parametrize(
+    "sensors, overrides, message",
+    [
+        (None, None, "sensors: expected a list or tuple, got NoneType"),
+        ("abc", None, "sensors: expected a list or tuple, got str"),
+        (["VS_1"], None, "sensors[0]: expected a SensorNode, got str"),
+        (_TESTBED_SENSORS, ["x"], "overrides: expected a dict, got list"),
+        # a service name is not a SensorType, so the override is not dropped
+        (_TESTBED_SENSORS, {"environment": "ES_1"}, "overrides key: expected a SensorType, got str"),
+        (_TESTBED_SENSORS, {SensorType.ENVIRONMENT: 1}, "overrides.environment: expected a str, got int"),
+    ],
+    ids=["no_sensors", "str_sensors", "str_sensor", "list_overrides", "str_key", "int_node_id"],
+)
+def test_form_grids_rejects_whole_arguments_of_the_wrong_type(sensors, overrides, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        form_grids(sensors, 100.0, overrides)

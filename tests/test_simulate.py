@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
 import pickle
 import random
@@ -729,6 +731,77 @@ def test_strategies_answer_like_the_oracle(scenario):
     qcps = run_scenario(cfg, workload, QCPS).answered
     assert qcps == run_scenario(cfg, workload, FLAT).answered
     assert qcps == flat_answers_oracle(cfg, workload)
+
+
+@pytest.mark.parametrize(
+    "segment_length, speed",
+    [(600.0, (1e-310, 1e-310)), (1e308, (0.1, 0.5))],
+    ids=["subnormal_speed", "long_segment"],
+)
+def test_a_travel_time_that_overflows_raises_a_named_error(testbed, segment_length, speed):
+    cfg = dataclasses.replace(testbed, duration_ticks=3, segment_length=segment_length)
+    workload = _queries((2, (SPEED,), (0, 2)))
+    message = "^segment_length: its travel time at the mean speed overflows a float$"
+    for strategy in (QCPS, FLAT):
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(cfg, workload, strategy, ranges=ReadingRanges(speed=speed))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _magnitudes(low, high):
+    """Powers of ten from 10**low through 10**high, half of them extremes."""
+    exponents = st.sampled_from((low, high)) | st.integers(low, high)
+    return exponents.map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def _any_ranges(draw):
+    """Reading ranges anywhere in the float range, subnormal speeds included;
+    a pair's width stays finite, as `ReadingRanges` requires."""
+    top = sys.float_info.max
+
+    def pair(low, high):
+        first = draw(st.floats(low, high))
+        return first, draw(st.floats(first, min(high, first + top)))
+
+    low_count = draw(st.integers(0, 2**40))
+    return ReadingRanges(
+        speed=tuple(sorted(draw(st.tuples(_magnitudes(-323, 308), _magnitudes(-323, 308))))),
+        temperature=pair(-top, top),
+        humidity=pair(0.0, 100.0),
+        light=pair(0.0, top),
+        distorted_prob=draw(st.floats(0.0, 1.0)),
+        crash_prob=draw(st.floats(0.0, 1.0)),
+        vehicle_count=(low_count, draw(st.integers(low_count, 2**50))),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_small_scenarios(), _any_ranges(), _magnitudes(-300, 308))
+def test_traces_and_run_reports_are_strict_json(scenario, ranges, segment_length):
+    # a run writes no inf or nan: its texts parse as strict JSON, or the
+    # run raises the error that names the input at fault
+    cfg, workload = scenario
+    cfg = dataclasses.replace(cfg, segment_length=segment_length)
+    workloads = [workload]
+    if cfg.duration_ticks:  # generated queries ask every service over (0, tick)
+        workloads.append(generate_workload(cfg, 3, 0))
+    for workload, strategy in itertools.product(workloads, (QCPS, FLAT)):
+        try:
+            trace = run_scenario(cfg, workload, strategy, ranges=ranges)
+        except ConfigError as exc:
+            assert str(exc).startswith("segment_length: ")
+            continue
+        grids = trace.grid_set
+        if grids is None:
+            grids = form_grids(cfg.sensors, cfg.threshold)
+        costs = {strategy: cost_of(trace, cfg.cost_params)}
+        run_report = report.build_run_report(cfg, grids, costs, trace.answered)
+        for text in (serialize_trace(trace), report.canonical_json(run_report)):
+            json.loads(text, parse_constant=_refuse_constant)
 
 
 # sha256 of serialize_trace on the testbed with generate_workload(testbed, 20, 10),

@@ -295,6 +295,7 @@ BAD_RANGES = {
     "bound_nan": ("light", (NAN, 10.0), "must be finite"),
     "bound_too_large": ("speed", (1.0, 10**400), "too large for a float"),
     "low_above_high": ("humidity", (60.0, 40.0), "low bound exceeds high bound"),
+    "width_overflows": ("temperature", (-1e308, 1e308), "its width overflows a float"),
     "not_a_pair": ("speed", (5.0,), "expected a (low, high) pair"),
     "speed_negative": ("speed", (-5.0, 5.0), "must be positive"),
     "speed_zero": ("speed", (0.0, 5.0), "must be positive"),
