@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .errors import SenseGridError
+from .errors import SenseGridError, WorkloadError
 from .grids import form_grids
 from .report import (
     build_run_report,
@@ -32,8 +32,8 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ticks", type=int, help="override the reporting duration")
-    parser.add_argument("--queries", type=int, default=20, help="generated centric queries (default 20)")
-    parser.add_argument("--requests", type=int, default=10, help="generated inter-sensor requests (default 10)")
+    parser.add_argument("--queries", type=int, help="generated centric queries (default 20)")
+    parser.add_argument("--requests", type=int, help="generated inter-sensor requests (default 10)")
     parser.add_argument("--workload", metavar="FILE", help="load the workload from JSON instead of generating it")
 
 
@@ -80,8 +80,14 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _load_workload(args: argparse.Namespace, cfg: ScenarioConfig) -> Workload:
     if args.workload is not None:
+        if args.queries is not None or args.requests is not None:
+            raise WorkloadError("--workload cannot be combined with --queries or --requests")
         return load_workload(Path(args.workload).read_text(encoding="utf-8"))
-    return generate_workload(cfg, args.queries, args.requests)
+    return generate_workload(
+        cfg,
+        20 if args.queries is None else args.queries,
+        10 if args.requests is None else args.requests,
+    )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -112,8 +118,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.format == "csv":  # costs only: no answers, and flat forms no grids
         _emit(cost_csv(costs), args.out)
         return 0
-    if grids is None:  # flat forms no grids, but its report lists them
-        grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
     answered = _answer_queries(cfg, workload)
     _emit(canonical_json(build_run_report(cfg, grids, costs, answered)), args.out)
     return 0

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, OverrideError
-from .topology import SensorNode, SensorType, _require_positive, _require_type, distance
+from .topology import (
+    SensorNode, SensorType, _require_override, _require_positive, _require_type, distance,
+)
 
 MEDOID = "medoid"
 OVERRIDDEN = "overridden"
@@ -91,6 +93,10 @@ def form_grids(
     for i, sensor in enumerate(sensors):
         _require_type(sensor, SensorNode, f"sensors[{i}]", ConfigError)
         by_type.setdefault(sensor.sensor_type, []).append(i)
+    by_id = {s.node_id: s for s in sensors}
+    overrides = overrides or {}
+    for sensor_type, node_id in overrides.items():
+        _require_override(sensor_type, node_id, by_id, "overrides")
     # union-find with path halving; which root a union keeps never shows
     parent = list(range(len(sensors)))
 
@@ -120,8 +126,6 @@ def form_grids(
     for i, sensor in enumerate(sensors):
         components.setdefault(root(i), []).append(sensor)
 
-    by_id = {s.node_id: s for s in sensors}
-    overrides = overrides or {}
     grids = []
     for group in components.values():
         members = tuple(sorted(s.node_id for s in group))

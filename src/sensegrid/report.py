@@ -21,17 +21,21 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import fields
 
 from .cloud import EstimationReport
-from .grids import GridSet
+from .errors import ConfigError
+from .grids import GridSet, form_grids
 from .simulate import (
     COST_METRICS,
+    ComputeEvent,
     CostComparison,
     CostReport,
+    Message,
     SimulationTrace,
     _Messages,
 )
-from .topology import ScenarioConfig, config_payload
+from .topology import ScenarioConfig, _require_type, config_payload
 
 TOOL_VERSION = "0.1.0"
 
@@ -135,6 +139,11 @@ def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[d
     return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
 
 
+# The keys of an API-built trace's messages and of any trace's compute
+# events; their values are read by name, so any object with them will do.
+_MESSAGE_FIELDS = tuple(f.name for f in fields(Message))
+_EVENT_FIELDS = tuple(f.name for f in fields(ComputeEvent))
+
 # One message as ``_write_canonical`` writes it inside the trace's message
 # list (depth 2): keys sorted, one value per slot.
 _MESSAGE_ROW = (
@@ -155,22 +164,10 @@ def serialize_trace(trace: SimulationTrace) -> str:
     grids (null for flat) and the answered reports with their ticks."""
     messages = trace.messages
     if type(messages) is not _Messages:
-        messages = [
-            {
-                "msg_id": m.msg_id,
-                "tick": m.tick,
-                "src": m.src,
-                "dst": m.dst,
-                "medium": m.medium,
-                "purpose": m.purpose,
-                "wireless_distance": m.wireless_distance,
-            }
-            for m in messages
-        ]
+        messages = [{k: getattr(m, k) for k in _MESSAGE_FIELDS} for m in messages]
     return canonical_json({
         "compute_events": [
-            {"tick": e.tick, "site": e.site, "op_count": e.op_count}
-            for e in trace.compute_events
+            {k: getattr(e, k) for k in _EVENT_FIELDS} for e in trace.compute_events
         ],
         "grids": gridset_list(trace.grid_set) if trace.grid_set is not None else None,
         "messages": messages,
@@ -220,10 +217,13 @@ def _block_texts(items):
 
 def build_run_report(
     cfg: ScenarioConfig,
-    grids: GridSet,
+    grids: GridSet | None,
     costs: dict[str, CostReport],
     answered: tuple[tuple[int, EstimationReport], ...],
 ) -> dict:
+    if grids is None:  # a flat run forms no grids, but its report lists them
+        grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+    _require_type(grids, GridSet, "grids", ConfigError)
     return {
         "config": config_payload(cfg),
         "grids": gridset_list(grids),

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
@@ -228,9 +229,18 @@ class CostReport:
 
 @dataclass(frozen=True)
 class CostComparison:
+    """Both strategies' costs; delta is qcps minus flat over `COST_METRICS`,
+    so a negative entry means the grid strategy reduced that metric."""
+
     qcps: CostReport
     flat: CostReport
-    delta: dict[str, float] = field(default_factory=dict)
+    delta: dict[str, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in ("qcps", "flat"):
+            _require_type(getattr(self, name), CostReport, f"comparison.{name}", ConfigError)
+        delta = {m: getattr(self.qcps, m) - getattr(self.flat, m) for m in COST_METRICS}
+        object.__setattr__(self, "delta", delta)
 
 
 def route_sensor_request(
@@ -383,6 +393,13 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     if strategy == QCPS:
         grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
         return grids, _qcps_legs(cfg, workload, grids, events), events
+    for _, query in workload.queries:  # flat repeats a query's block per window tick
+        start, end = query.window
+        if end - start + 1 > sys.maxsize:
+            raise WorkloadError(
+                f"query {query.query_id}: window {query.window} spans more than "
+                f"{sys.maxsize} ticks"
+            )
     return None, _flat_legs(cfg, workload, events), events
 
 
@@ -547,17 +564,10 @@ COST_METRICS = tuple(f.name for f in fields(CostReport) if f.name != "strategy")
 
 
 def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostComparison:
-    """Run both strategies on the identical workload; delta is qcps minus flat,
-    so a negative entry means the grid strategy reduced that metric.
+    """Run both strategies on the identical workload.
 
     Costs are one pass over each strategy's transmission blocks and compute
     events, so this builds no message and no trace. Query answers are
     strategy-independent and do not enter the costs, so it computes none;
     `run_scenario` answers the queries once per run."""
-    qcps_report = _price(cfg, workload, QCPS)[1]
-    flat_report = _price(cfg, workload, FLAT)[1]
-    delta = {
-        metric: getattr(qcps_report, metric) - getattr(flat_report, metric)
-        for metric in COST_METRICS
-    }
-    return CostComparison(qcps=qcps_report, flat=flat_report, delta=delta)
+    return CostComparison(_price(cfg, workload, QCPS)[1], _price(cfg, workload, FLAT)[1])

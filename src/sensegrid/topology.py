@@ -48,8 +48,9 @@ def _require_count(value: object, name: str, error: type[SenseGridError]) -> Non
 
 
 def _require_real(value: float, name: str) -> None:
-    """Reject anything but an int or a float; a bool passes as an int."""
-    if not isinstance(value, (int, float)):
+    """Reject anything but an int or a float; a bool is not a number, as
+    in the JSON layer, so what a value type accepts its file form can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number")
 
 
@@ -69,6 +70,20 @@ def _require_positive(value: float, name: str) -> None:
     _require_real(value, name)
     if not value > 0:
         raise ConfigError(f"{name}: must be positive")
+
+
+def _require_override(
+    sensor_type: SensorType, node_id: object, by_id: dict, prefix: str
+) -> None:
+    """Reject an override of a type's coordinator that names no sensor in
+    by_id, or a sensor of another type."""
+    node = by_id.get(node_id) if isinstance(node_id, str) else None
+    if node is None:
+        raise ConfigError(f"{prefix}.{sensor_type.value}: unknown sensor {node_id!r}")
+    if node.sensor_type is not sensor_type:
+        raise ConfigError(
+            f"{prefix}.{sensor_type.value}: {node_id!r} is a {node.sensor_type.value} sensor"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,16 +182,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"coordinator_overrides: key {sensor_type!r} is not a SensorType"
                 )
-            node = by_id.get(node_id) if isinstance(node_id, str) else None
-            if node is None:
-                raise ConfigError(
-                    f"coordinator_overrides.{sensor_type.value}: unknown sensor {node_id!r}"
-                )
-            if node.sensor_type is not sensor_type:
-                raise ConfigError(
-                    f"coordinator_overrides.{sensor_type.value}: "
-                    f"{node_id!r} is a {node.sensor_type.value} sensor"
-                )
+            _require_override(sensor_type, node_id, by_id, "coordinator_overrides")
 
     def by_id(self) -> dict[str, SensorNode]:
         return {s.node_id: s for s in self.sensors}
@@ -213,8 +219,6 @@ _COST_KEYS = tuple(f.name for f in dataclasses.fields(CostParams))
 
 def _require_number(obj: dict, key: str, path: str) -> float:
     value = obj.get(key)
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number")
     _require_finite(value, f"{path}.{key}")
     if float(value) != value:  # an int beyond 2**53 that no float holds
         raise ConfigError(f"{path}.{key}: not exactly representable as a float")

@@ -48,6 +48,10 @@ class ReadingRanges:
             bounds = getattr(self, name)
             if not isinstance(bounds, tuple) or len(bounds) != 2:
                 raise ConfigError(f"ranges.{name}: expected a (low, high) pair")
+            if name == "vehicle_count" and any(
+                isinstance(b, bool) or not isinstance(b, int) for b in bounds
+            ):
+                raise ConfigError("ranges.vehicle_count: bounds must be integers")
             for bound in bounds:
                 _require_finite(bound, f"ranges.{name}")
             if bounds[0] > bounds[1]:
@@ -59,8 +63,6 @@ class ReadingRanges:
             raise ConfigError("ranges.humidity: must lie in [0, 100]")
         if self.light[0] < 0:
             raise ConfigError("ranges.light: must be non-negative")
-        if any(isinstance(b, bool) or not isinstance(b, int) for b in self.vehicle_count):
-            raise ConfigError("ranges.vehicle_count: bounds must be integers")
         if self.vehicle_count[0] < 0:
             raise ConfigError("ranges.vehicle_count: must be non-negative")
         for name in ("distorted_prob", "crash_prob"):

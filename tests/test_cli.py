@@ -220,6 +220,19 @@ def test_run_with_workload_file(tmp_path):
     assert list(report["reports"][0]["sections"]) == ["environment"]
 
 
+@pytest.mark.parametrize(
+    "counts", [("--queries", "3"), ("--requests", "0"), ("--queries", "20", "--requests", "10")]
+)
+@pytest.mark.parametrize("command", [("compare",), ("run", "--strategy", "flat")])
+def test_workload_file_cannot_be_combined_with_generated_counts(tmp_path, command, counts):
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps({"queries": [{"tick": 1, "services": ["environment"]}]}))
+    args = [*command, "--testbed", "--workload", str(workload), *counts, "--format", "csv"]
+    assert _main(args) == (
+        2, "", "error: --workload cannot be combined with --queries or --requests\n"
+    )
+
+
 def test_run_with_topology_file(tmp_path):
     topo = tmp_path / "scenario.json"
     topo.write_text(dump_topology(builtin_testbed()))

@@ -293,8 +293,14 @@ _TESTBED_SENSORS = builtin_testbed().sensors
         # a service name is not a SensorType, so the override is not dropped
         (_TESTBED_SENSORS, {"environment": "ES_1"}, "overrides key: expected a SensorType, got str"),
         (_TESTBED_SENSORS, {SensorType.ENVIRONMENT: 1}, "overrides.environment: expected a str, got int"),
+        # an override must name a sensor of its type, as in a ScenarioConfig
+        (_TESTBED_SENSORS, {SensorType.VISION: "nope"}, "overrides.vision: unknown sensor 'nope'"),
+        (_TESTBED_SENSORS, {SensorType.VISION: "ES_1"}, "overrides.vision: 'ES_1' is a environment sensor"),
     ],
-    ids=["no_sensors", "str_sensors", "str_sensor", "list_overrides", "str_key", "int_node_id"],
+    ids=[
+        "no_sensors", "str_sensors", "str_sensor", "list_overrides", "str_key", "int_node_id",
+        "unknown_node_id", "node_id_of_another_type",
+    ],
 )
 def test_form_grids_rejects_whole_arguments_of_the_wrong_type(sensors, overrides, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

@@ -18,6 +18,7 @@ from sensegrid import (
     Cloud,
     ConfigError,
     CongestionThresholds,
+    CostComparison,
     CostParams,
     FLAT,
     Message,
@@ -1348,3 +1349,56 @@ def test_route_sensor_request_rejects_a_sensor_the_grid_set_does_not_cover(testb
     grids = form_grids([s for s in testbed.sensors if s.node_id != "SS_2"], testbed.threshold)
     with pytest.raises(RoutingError, match="^node 'SS_2' is not covered by this grid set$"):
         route_sensor_request("SS_1", "SS_2", grids, testbed.by_id())
+
+
+def test_cost_comparison_derives_its_delta_from_the_two_reports(testbed):
+    comparison = compare_strategies(testbed, generate_workload(testbed, 5, 5))
+    rebuilt = CostComparison(comparison.qcps, comparison.flat)
+    assert rebuilt == comparison
+    assert list(rebuilt.delta) == list(simulate.COST_METRICS)
+    renders = (
+        report.comparison_csv,
+        report.comparison_table,
+        lambda c: report.canonical_json(report.comparison_dict(c)),
+    )
+    for render in renders:
+        assert render(rebuilt) == render(comparison)
+    with pytest.raises(TypeError):
+        CostComparison(comparison.qcps, comparison.flat, delta={})
+    for reports, message in (
+        ((None, comparison.flat), "comparison.qcps: expected a CostReport, got NoneType"),
+        ((comparison.qcps, "flat"), "comparison.flat: expected a CostReport, got str"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CostComparison(*reports)
+
+
+def test_run_report_forms_the_grids_a_flat_trace_lacks(testbed):
+    cfg = dataclasses.replace(testbed, coordinator_overrides={SensorType.VISION: "VS_1"})
+    trace = run_scenario(cfg, generate_workload(cfg, 3, 2), FLAT)
+    costs = {FLAT: cost_of(trace, cfg.cost_params)}
+    grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+    flat_report = report.build_run_report(cfg, trace.grid_set, costs, trace.answered)
+    assert flat_report == report.build_run_report(cfg, grids, costs, trace.answered)
+    vision = next(g for g in flat_report["grids"] if g["type"] == "vision")
+    assert (vision["coordinator"], vision["election"]) == ("VS_1", "overridden")
+    with pytest.raises(ConfigError, match="^grids: expected a GridSet, got list$"):
+        report.build_run_report(cfg, [], costs, trace.answered)
+
+
+def test_flat_rejects_a_window_longer_than_a_sequence_can_be(testbed):
+    cfg = dataclasses.replace(testbed, duration_ticks=3)
+    workload = Workload(queries=((1, CentricQuery("Q1", (Service.ENVIRONMENT,), (0, 2**63))),))
+    message = f"^query Q1: window \\(0, {2**63}\\) spans more than {sys.maxsize} ticks$"
+    with pytest.raises(WorkloadError, match=message):
+        run_scenario(cfg, workload, FLAT)
+    with pytest.raises(WorkloadError, match=message):
+        compare_strategies(cfg, workload)
+    assert len(run_scenario(cfg, workload, QCPS).messages) == 98
+
+
+def test_canonical_json_rejects_a_value_it_cannot_write():
+    with pytest.raises(TypeError, match="^cannot canonicalize object$"):
+        report.canonical_json(object())
+    with pytest.raises(TypeError, match="^cannot canonicalize set$"):
+        report.canonical_json({"key": [{1}]})

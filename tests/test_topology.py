@@ -194,6 +194,37 @@ def test_load_topology_inverts_dump_topology(cfg):
     assert load_topology(dump_topology(cfg)) == cfg
 
 
+# any number: bools, and integers that no float holds, included
+_ANY_NUMBER = st.booleans() | st.integers() | st.floats() | st.sampled_from([2**53 + 1, 10**400])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.data())
+def test_a_config_that_constructs_reloads_or_names_an_inexact_integer(data):
+    def number():
+        return data.draw(_ANY_NUMBER)
+
+    try:
+        cfg = ScenarioConfig(
+            sensors=tuple(
+                SensorNode(f"N_{i}", data.draw(st.sampled_from(SensorType)),
+                           Position(number(), number(), number()))
+                for i in range(data.draw(st.integers(0, 3)))
+            ),
+            threshold=number(),
+            cost_params=CostParams(number(), number(), number()),
+            segment_length=number(),
+        )
+    except SenseGridError:
+        return
+    try:
+        reloaded = load_topology(dump_topology(cfg))
+    except ConfigError as exc:
+        assert str(exc).endswith(": not exactly representable as a float")
+    else:
+        assert reloaded == cfg
+
+
 def _testbed_json(**mutations):
     raw = json.loads(dump_topology(builtin_testbed()))
     raw.update(mutations)
@@ -380,6 +411,14 @@ NON_NUMBERS = {
     "cost_str": (lambda: CostParams("x"), "cost_params.wireless_cost_per_unit_distance"),
     "range_bounds_str": (lambda: ReadingRanges(speed=("a", "b")), "ranges.speed"),
     "probability_list": (lambda: ReadingRanges(crash_prob=[0.5]), "ranges.crash_prob"),
+    # a bool is not a number: dump_topology would write it as true
+    "position_bool": (lambda: Position(True, 0, 0), "position.x"),
+    "threshold_bool": (
+        lambda: dataclasses.replace(builtin_testbed(), threshold=True),
+        "threshold",
+    ),
+    "cost_bool": (lambda: CostParams(True, 1, 1), "cost_params.wireless_cost_per_unit_distance"),
+    "thresholds_bool": (lambda: CongestionThresholds(low_max=False), "congestion thresholds.low_max"),
 }
 
 
@@ -466,6 +505,7 @@ def _edited_testbed_text(edit):
     "edit, message",
     [
         (lambda raw: raw["sensors"][0].update(x=True), "config.sensors[0].x: expected a number"),
+        (lambda raw: raw["sensors"].insert(0, 5), "config.sensors[0]: expected an object"),
         (lambda raw: raw["sensors"][0].update(id=5), "config.sensors[0].id: expected a non-empty string"),
         (lambda raw: raw.update(cost_params=[1.0]), "config.cost_params: expected an object"),
         (
@@ -481,7 +521,7 @@ def _edited_testbed_text(edit):
             "config.coordinator_overrides.vision: expected a sensor id",
         ),
     ],
-    ids=["bool_x", "int_id", "cost_params_array", "overrides_array", "override_type", "override_id"],
+    ids=["bool_x", "int_sensor", "int_id", "cost_params_array", "overrides_array", "override_type", "override_id"],
 )
 def test_load_topology_names_each_malformed_field(edit, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

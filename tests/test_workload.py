@@ -262,6 +262,14 @@ def test_load_workload_rejects_bad_shapes():
             WorkloadError, match=r"^workload\.queries\[0\]\.services: expected service names$"
         ):
             load_workload(json.dumps({"queries": [{"tick": 0, "services": [name]}]}))
+    with pytest.raises(
+        WorkloadError, match=r"^workload\.queries\[0\]: expected an object with tick and services$"
+    ):
+        load_workload(json.dumps({"queries": [5]}))
+    with pytest.raises(
+        WorkloadError, match=r"^workload\.requests\[0\]: requester and target must be sensor ids$"
+    ):
+        load_workload(json.dumps({"requests": [{"tick": 0, "requester": 5, "target": "ES_2"}]}))
 
 
 def test_validate_workload_checks_ids_and_ticks(testbed):
@@ -305,6 +313,8 @@ BAD_RANGES = {
     "vehicle_count_negative": ("vehicle_count", (-1, 5), "must be non-negative"),
     "vehicle_count_float": ("vehicle_count", (0, 5.5), "bounds must be integers"),
     "vehicle_count_bool": ("vehicle_count", (False, 5), "bounds must be integers"),
+    "vehicle_count_bool_low": ("vehicle_count", (True, 5), "bounds must be integers"),
+    "probability_bool": ("crash_prob", True, "expected a number"),
     "probability_above_1": ("crash_prob", 1.5, "must lie in [0, 1]"),
     "probability_negative": ("distorted_prob", -0.1, "must lie in [0, 1]"),
     "probability_nan": ("distorted_prob", NAN, "must lie in [0, 1]"),
