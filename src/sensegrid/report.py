@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import fields
 
 from .cloud import EstimationReport
@@ -121,6 +122,12 @@ def cost_dict(report: CostReport) -> dict:
     return {metric: getattr(report, metric) for metric in COST_METRICS}
 
 
+def _require_costs(costs: dict[str, CostReport]) -> None:
+    _require_type(costs, dict, "costs", ConfigError)
+    for strategy, report in costs.items():
+        _require_type(report, CostReport, f"costs.{strategy}", ConfigError)
+
+
 def estimation_report_dict(report: EstimationReport) -> dict:
     sections = {}
     for service, section in report.sections.items():
@@ -136,6 +143,12 @@ def estimation_report_dict(report: EstimationReport) -> dict:
 def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[dict]:
     """Answered reports as the trace and the run report write them: each
     report's dict view plus the tick it was answered at."""
+    _require_type(answered, Sequence, "answered", ConfigError)
+    for i, entry in enumerate(answered):
+        _require_type(entry, tuple, f"answered[{i}]", ConfigError)
+        if len(entry) != 2:
+            raise ConfigError(f"answered[{i}]: expected a (tick, report) pair")
+        _require_type(entry[1], EstimationReport, f"answered[{i}][1]", ConfigError)
     return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
 
 
@@ -221,6 +234,8 @@ def build_run_report(
     costs: dict[str, CostReport],
     answered: tuple[tuple[int, EstimationReport], ...],
 ) -> dict:
+    _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
+    _require_costs(costs)
     if grids is None:  # a flat run forms no grids, but its report lists them
         grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
     _require_type(grids, GridSet, "grids", ConfigError)
@@ -243,6 +258,7 @@ def _fmt(value) -> str:
 
 
 def cost_csv(costs: dict[str, CostReport]) -> str:
+    _require_costs(costs)
     lines = ["strategy," + ",".join(COST_METRICS)]
     for strategy in sorted(costs):
         report = costs[strategy]
@@ -253,6 +269,7 @@ def cost_csv(costs: dict[str, CostReport]) -> str:
 
 
 def comparison_dict(comparison: CostComparison) -> dict:
+    _require_type(comparison, CostComparison, "comparison", ConfigError)
     return {
         "qcps": cost_dict(comparison.qcps),
         "flat": cost_dict(comparison.flat),
@@ -267,6 +284,7 @@ def _effect(delta: float) -> str:
 
 def _comparison_rows(comparison: CostComparison):
     """The header, then one (metric, qcps, flat, delta, effect) row per metric."""
+    _require_type(comparison, CostComparison, "comparison", ConfigError)
     yield "metric", "qcps", "flat", "delta", "effect"
     for metric in COST_METRICS:
         delta = comparison.delta[metric]

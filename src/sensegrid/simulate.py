@@ -40,22 +40,30 @@ items as they are generated, building no trace.
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
 query tick. So `run_scenario` computes the answers once per run, on one
-answer path, and `compare_strategies` computes none. That path generates
-each (sensor type, tick) batch of readings once, as payload columns, and
-hands `cloud._answer`, the one query-to-report rule that
-`answer_centric_query` also uses, a column source over those batches; it
-builds no `Reading` and no `Cloud`.
+answer path, and `compare_strategies` computes none. That path plans the
+(sensor type, tick) batches the clipped windows cover, generates each once
+as payload columns, and hands `cloud._answer`, the one query-to-report rule
+that `answer_centric_query` also uses, a column source over them; it builds
+no `Reading` and no `Cloud`. A plan of at least `_FORK_MIN_READINGS`
+readings, with two usable CPUs and no other thread, forks one child that
+generates every other batch. A batch's values are keyed on it alone, so
+they do not depend on the process, and a failed batch fails again when
+first read, so errors keep serial order.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
+import os
 import sys
+import threading
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -319,6 +327,25 @@ def _events_by_tick(workload: Workload):
     return queries, requests
 
 
+_FORK_MIN_READINGS = 10_000  # forking and reaping costs about 3 ms, some 500 readings
+
+
+def _clipped(cfg: ScenarioConfig, tick: int, query: CentricQuery) -> range:
+    """The ticks a query at `tick` reads: its window up to its tick and the last sensed tick."""
+    start, end = query.window
+    return range(start, min(end, tick, cfg.duration_ticks - 1) + 1)
+
+
+def _plan(cfg: ScenarioConfig, workload: Workload) -> list[tuple[SensorType, int]]:
+    """The distinct (sensor type, tick) batches the answers read, in first-read order."""
+    return list(dict.fromkeys(
+        (SERVICE_SENSOR_TYPE[service], t)
+        for tick, query in sorted(workload.queries, key=lambda entry: entry[0])
+        for service in query.requested_services
+        for t in _clipped(cfg, tick, query)
+    ))
+
+
 def _answer_queries(
     cfg: ScenarioConfig,
     workload: Workload,
@@ -329,29 +356,77 @@ def _answer_queries(
 
     Answers are strategy-independent, so this is the one answer path:
     `run_scenario` and the CLI's `run` call it once per run, and
-    `compare_strategies` never does. A query sees the readings sensed inside
-    its window up to its tick: `cloud._answer` reads the columns of the
-    (sensor type, tick) batches over its window clipped to
-    min(end, tick, last sensed tick), and each batch is generated once.
+    `compare_strategies` never does. It plans the batches, generates each
+    once into a store (on two processes when `_generate_forked` may run,
+    else on first read), then answers each query with `cloud._answer` over
+    its `_clipped` window's columns.
     """
     _require_thresholds(thresholds)
     _require_ranges(ranges)
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
-    batch = cache(lambda t, tick: _reading_columns(sensors_of[t], tick, cfg.seed, ranges))
+
+    def generate(key: tuple[SensorType, int]) -> list:
+        return _reading_columns(sensors_of[key[0]], key[1], cfg.seed, ranges)
+
+    def batch(*key) -> list:
+        if key not in store:
+            store[key] = generate(key)
+        return store[key]
+
+    store: dict[tuple[SensorType, int], list] = {}
+    plan = _plan(cfg, workload)
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (
+        sum(len(sensors_of[t]) for t, _ in plan) >= _FORK_MIN_READINGS
+        and hasattr(os, "fork")
+        and (affinity is None or len(affinity(0)) >= 2)
+        and threading.active_count() == 1  # a fork copies no other thread
+    ):
+        _generate_forked(store, plan, generate)
     answered = []
     for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
-        start, end = query.window
-        ticks = range(start, min(end, tick, cfg.duration_ticks - 1) + 1)
-        columns_of = partial(_batch_columns, batch, ticks)
+        columns_of = partial(_batch_columns, batch, _clipped(cfg, tick, query))
         answered.append((tick, _answer(query, columns_of, cfg.segment_length, thresholds)))
     return tuple(answered)
 
 
+def _generate_forked(store: dict, plan: list, generate: Callable) -> None:
+    """Store the planned batches: a forked child generates every other one
+    and marshals them into a pipe while this process generates the rest.
+    A batch that fails, and the rest of its process's share, stay out of
+    the store and fail again on first read. The child is always reaped."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: every batch generates on first read
+        os.close(read_end)
+        os.close(write_end)
+        return
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                marshal.dump([generate(key) for key in plan[1::2]], pipe)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        # closed before the wait, so a child blocked on a full pipe can exit
+        with os.fdopen(read_end, "rb") as pipe:
+            with suppress(Exception):  # raised again by the batch's first read
+                for key in plan[::2]:
+                    store[key] = generate(key)
+            with suppress(EOFError, ValueError):  # the child failed or died first
+                store.update(zip(plan[1::2], marshal.loads(pipe.read())))
+    finally:
+        os.waitpid(pid, 0)
+
+
 def _batch_columns(batch: Callable, ticks: range, sensor_type: SensorType) -> list[list]:
     """A sensor type's payload columns over the ticks, joined in tick order
-    from its batches: `batch(sensor type, tick)` is the run's cached batch."""
+    from its batches: `batch(sensor type, tick)` reads the run's store."""
     columns = [[] for _ in fields(PAYLOAD_TYPE[sensor_type])]
     for tick in ticks:
         for column, values in zip(columns, batch(sensor_type, tick)):

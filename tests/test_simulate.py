@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import os
 import pickle
 import random
 import re
 import statistics
 import subprocess
 import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +52,7 @@ from sensegrid import (
     serialize_trace,
 )
 from sensegrid import cli, report, simulate
+from sensegrid import workload as workload_module
 from sensegrid.cloud import SERVICE_SENSOR_TYPE
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
@@ -424,11 +429,8 @@ def test_cli_run_matches_run_scenario_over_random_scenarios(tmp_path):
         for strategy in (QCPS, FLAT):
             trace = run_scenario(cfg, workload, strategy)
             costs = {strategy: cost_of(trace, cfg.cost_params)}
-            grids = trace.grid_set
-            if grids is None:
-                grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
             expected_json = report.canonical_json(
-                report.build_run_report(cfg, grids, costs, trace.answered)
+                report.build_run_report(cfg, trace.grid_set, costs, trace.answered)
             )
             assert _cli_run(tmp_path, strategy, "json", *args) == expected_json
             assert _cli_run(tmp_path, strategy, "csv", *args) == report.cost_csv(costs)
@@ -725,6 +727,182 @@ def _small_scenarios(draw):
     return cfg, _queries(*entries)
 
 
+@contextlib.contextmanager
+def _forced_fork(in_child=lambda: None):
+    """Send every `_answer_queries` inside to the forked path, as on a host
+    with two CPUs, and yield the pids of the children it forked; `in_child`
+    runs first in each child."""
+    real_fork = os.fork
+    forked = []
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            in_child()
+        else:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_FORK_MIN_READINGS", 0)
+        patch.setattr(os, "fork", fork)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield forked
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(_small_scenarios())
+def test_forked_answers_equal_serial_answers(scenario):
+    # zero-tick runs, windows past the run, empty and single-sensor types,
+    # API-built windows, and generated queries over (0, tick)
+    cfg, workload = scenario
+    workloads = [workload]
+    if cfg.duration_ticks:
+        workloads.append(generate_workload(cfg, 3, 0))
+    for workload in workloads:
+        serial = simulate._answer_queries(cfg, workload)
+        with _forced_fork() as forked:
+            assert simulate._answer_queries(cfg, workload) == serial
+        assert len(forked) == 1
+
+
+def test_the_default_threshold_forks_only_a_large_plan(testbed):
+    workload = generate_workload(testbed, 20, 10)
+    with _forced_fork() as forked, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_FORK_MIN_READINGS", 10_000)
+        serial = simulate._answer_queries(testbed, workload)
+        assert forked == []
+        patch.setattr(simulate, "_FORK_MIN_READINGS", 1_000)  # the plan holds 1,536
+        assert simulate._answer_queries(testbed, workload) == serial
+        assert len(forked) == 1
+
+
+def test_a_forced_out_of_range_draw_raises_the_same_error_on_both_paths(testbed, monkeypatch):
+    def rounded_past_100(rng, ranges):
+        return 20.0, 100.00000000000001, 5.0
+
+    monkeypatch.setitem(workload_module._DRAW, SensorType.ENVIRONMENT, rounded_past_100)
+    cfg = dataclasses.replace(testbed, duration_ticks=8)
+    workload = generate_workload(cfg, 4, 0)
+    message = "^" + re.escape("humidity: must lie in [0, 100]")
+    with pytest.raises(ConfigError, match=message):
+        simulate._answer_queries(cfg, workload)
+    with _forced_fork() as forked, pytest.raises(ConfigError, match=message):
+        simulate._answer_queries(cfg, workload)
+    assert len(forked) == 1
+
+
+def test_failed_batches_raise_in_serial_order_on_both_paths(testbed, monkeypatch):
+    # batches fail in both processes' shares, each with its own message,
+    # and the first one read is the child's; both paths raise that one
+    real = simulate._reading_columns
+
+    def failing(sensors, tick, *rest):
+        if sensors and tick in (2, 3, 5):
+            raise ConfigError(f"{sensors[0].sensor_type.value} at tick {tick}")
+        return real(sensors, tick, *rest)
+
+    monkeypatch.setattr(simulate, "_reading_columns", failing)
+    cfg = dataclasses.replace(testbed, duration_ticks=8)
+    workload = _queries((1, (ROAD, SPEED, CONGESTION), (0, 0)), (6, (ENV, SPEED), (3, 6)),
+                        (7, ALL, (0, 7)))
+    plan = simulate._plan(cfg, workload)
+    failed = [i for i, (_, tick) in enumerate(plan) if tick in (2, 3, 5)]
+    # plan[1::2] is the child's share
+    assert failed[0] % 2 == 1 and any(i % 2 == 0 for i in failed)
+    with pytest.raises(ConfigError) as serial:
+        simulate._answer_queries(cfg, workload)
+    assert str(serial.value) == "environment at tick 3"
+    with _forced_fork() as forked, pytest.raises(ConfigError) as forked_error:
+        simulate._answer_queries(cfg, workload)
+    assert len(forked) == 1
+    assert str(forked_error.value) == str(serial.value)
+
+
+def test_a_forked_run_leaves_no_child_behind(testbed):
+    workload = generate_workload(testbed, 5, 0)
+    with _forced_fork() as forked:
+        simulate._answer_queries(testbed, workload)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_live_thread_keeps_the_answers_in_one_process(testbed):
+    workload = generate_workload(testbed, 5, 0)
+    serial = simulate._answer_queries(testbed, workload)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with _forced_fork() as forked:
+            assert simulate._answer_queries(testbed, workload) == serial
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forked == []
+
+
+def test_a_child_that_dies_before_writing_changes_no_answer(testbed):
+    cfg = dataclasses.replace(testbed, duration_ticks=12)
+    workload = generate_workload(cfg, 6, 0)
+    serial = simulate._answer_queries(cfg, workload)
+    with _forced_fork(in_child=lambda: os._exit(1)) as forked:
+        assert simulate._answer_queries(cfg, workload) == serial
+    assert len(forked) == 1
+
+
+def test_a_fork_that_fails_leaves_the_answers_to_this_process(testbed, monkeypatch):
+    attempts = []
+
+    def no_fork():
+        attempts.append(None)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    workload = generate_workload(testbed, 5, 0)
+    serial = simulate._answer_queries(testbed, workload)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(simulate, "_FORK_MIN_READINGS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert simulate._answer_queries(testbed, workload) == serial
+    assert len(attempts) == 1
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_the_plan_lists_the_batches_a_serial_run_generates(generated):
+    # in the order the answers first read them, so it counts a run's
+    # readings before the run
+    rng = random.Random(2024)
+    for _ in range(20):
+        cfg = ScenarioConfig(
+            sensors=tuple(random_instance(rng, max_nodes=12)),
+            threshold=50.0,
+            duration_ticks=rng.randint(0, 10),
+            seed=rng.getrandbits(32),
+        )
+        windows = [
+            (rng.randint(0, max(0, cfg.duration_ticks - 1)),
+             rng.sample(ALL, rng.randint(1, 4)),
+             (start, start + rng.randint(0, 12)))
+            for start in (rng.randint(0, 12) for _ in range(rng.randint(0, 4)))
+        ]
+        n_queries = rng.randint(0, 4) if cfg.duration_ticks else 0
+        for workload in (_queries(*windows), generate_workload(cfg, n_queries, 0)):
+            generated.clear()
+            simulate._answer_queries(cfg, workload)
+            plan = simulate._plan(cfg, workload)
+            per_type = Counter(sensor.sensor_type for sensor in cfg.sensors)
+            assert sum(per_type[t] for t, _ in plan) == len(generated)
+            assert generated == [
+                (sensor.node_id, tick)
+                for sensor_type, tick in plan
+                for sensor in cfg.sensors
+                if sensor.sensor_type is sensor_type
+            ]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(_small_scenarios())
 def test_strategies_answer_like_the_oracle(scenario):
@@ -796,11 +974,8 @@ def test_traces_and_run_reports_are_strict_json(scenario, ranges, segment_length
         except ConfigError as exc:
             assert str(exc).startswith("segment_length: ")
             continue
-        grids = trace.grid_set
-        if grids is None:
-            grids = form_grids(cfg.sensors, cfg.threshold)
         costs = {strategy: cost_of(trace, cfg.cost_params)}
-        run_report = report.build_run_report(cfg, grids, costs, trace.answered)
+        run_report = report.build_run_report(cfg, trace.grid_set, costs, trace.answered)
         for text in (serialize_trace(trace), report.canonical_json(run_report)):
             json.loads(text, parse_constant=_refuse_constant)
 
@@ -1384,6 +1559,39 @@ def test_run_report_forms_the_grids_a_flat_trace_lacks(testbed):
     assert (vision["coordinator"], vision["election"]) == ("VS_1", "overridden")
     with pytest.raises(ConfigError, match="^grids: expected a GridSet, got list$"):
         report.build_run_report(cfg, [], costs, trace.answered)
+
+
+@pytest.mark.parametrize(
+    "render, message",
+    [
+        (lambda cfg: report.build_run_report(None, None, {}, ()),
+         "cfg: expected a ScenarioConfig, got NoneType"),
+        (lambda cfg: report.build_run_report(cfg, None, {"qcps": None}, ()),
+         "costs.qcps: expected a CostReport, got NoneType"),
+        (lambda cfg: report.build_run_report(cfg, None, {}, [5]),
+         "answered[0]: expected a tuple, got int"),
+        (lambda cfg: report.cost_csv({"x": None}), "costs.x: expected a CostReport, got NoneType"),
+        (lambda cfg: report.comparison_csv(None),
+         "comparison: expected a CostComparison, got NoneType"),
+        (lambda cfg: report.comparison_table(None),
+         "comparison: expected a CostComparison, got NoneType"),
+    ],
+    ids=["run_report_cfg", "run_report_costs", "run_report_answered", "cost_csv",
+         "comparison_csv", "comparison_table"],
+)
+def test_report_builders_name_the_argument_at_fault(testbed, render, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        render(testbed)
+
+
+def test_answered_entries_must_be_tick_report_pairs(testbed):
+    for answered, message in (
+        (None, "answered: expected a Sequence, got NoneType"),
+        ([(1,)], "answered[0]: expected a (tick, report) pair"),
+        (((1, "report"),), "answered[0][1]: expected a EstimationReport, got str"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            report.build_run_report(testbed, None, {}, answered)
 
 
 def test_flat_rejects_a_window_longer_than_a_sequence_can_be(testbed):
