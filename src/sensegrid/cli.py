@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .errors import SenseGridError, WorkloadError
+from .errors import ConfigError, SenseGridError, WorkloadError
 from .grids import form_grids
 from .report import (
     build_run_report,
@@ -63,11 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str, error: type[SenseGridError], what: str) -> str:
+    """A --topology or --workload file's text; bytes that are not UTF-8 raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.testbed:
         cfg = builtin_testbed()
     else:
-        cfg = load_topology(Path(args.topology).read_text(encoding="utf-8"))
+        cfg = load_topology(_read(args.topology, ConfigError, "config"))
     updates = {}
     if args.threshold is not None:
         updates["threshold"] = args.threshold
@@ -82,7 +90,7 @@ def _load_workload(args: argparse.Namespace, cfg: ScenarioConfig) -> Workload:
     if args.workload is not None:
         if args.queries is not None or args.requests is not None:
             raise WorkloadError("--workload cannot be combined with --queries or --requests")
-        return load_workload(Path(args.workload).read_text(encoding="utf-8"))
+        return load_workload(_read(args.workload, WorkloadError, "workload"))
     return generate_workload(
         cfg,
         20 if args.queries is None else args.queries,

@@ -148,14 +148,6 @@ class CloudDatabase:
             )
         self.tables.setdefault(reading.sensor_id, []).append(reading)
 
-    def in_window(self, window: tuple[int, int]) -> list[Reading]:
-        _require_window(window, "")
-        start, end = window
-        rows = []
-        for sensor_id in sorted(self.tables):
-            rows.extend(r for r in self.tables[sensor_id] if start <= r.tick <= end)
-        return rows
-
 
 class Cloud:
     """All four databases plus routing of readings by payload variant."""
@@ -392,12 +384,15 @@ def _window_columns(
     db: CloudDatabase, window: tuple[int, int], sensor_type: SensorType
 ) -> list[list]:
     """The window's rows as one column per payload field of the sensor type
-    the estimator reads. A database that holds another type's readings is
-    rejected; an empty one of any type reads as no data."""
+    the estimator reads, in one pass over the tables in their own order,
+    which no formula depends on. A database that holds another type's
+    readings is rejected; an empty one of any type reads as no data."""
     if not isinstance(db, CloudDatabase) or (db.tables and db.sensor_type is not sensor_type):
         got = db.name if isinstance(db, CloudDatabase) else type(db).__name__
         raise WrongDatabaseError(f"database: expected {database_for(sensor_type)}, got {got}")
-    rows = db.in_window(window)
+    _require_window(window, "")
+    start, end = window
+    rows = [r for table in db.tables.values() for r in table if start <= r.tick <= end]
     payload_fields = fields(PAYLOAD_TYPE[sensor_type])
     return [[getattr(r.payload, f.name) for r in rows] for f in payload_fields]
 

@@ -40,15 +40,15 @@ items as they are generated, building no trace.
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
 query tick. So `run_scenario` computes the answers once per run, on one
-answer path, and `compare_strategies` computes none. That path plans the
-(sensor type, tick) batches the clipped windows cover, generates each once
-as payload columns, and hands `cloud._answer`, the one query-to-report rule
-that `answer_centric_query` also uses, a column source over them; it builds
-no `Reading` and no `Cloud`. A plan of at least `_FORK_MIN_READINGS`
-readings, with two usable CPUs and no other thread, forks one child that
-generates every other batch. A batch's values are keyed on it alone, so
-they do not depend on the process, and a failed batch fails again when
-first read, so errors keep serial order.
+answer path, and `compare_strategies` computes none: plan the (sensor
+type, tick) batches the clipped windows cover, in first-read order;
+generate each once as payload columns into a store, in plan order, so the
+first failing batch raises; answer with `cloud._answer`, the one rule that
+`answer_centric_query` also uses, over columns read from the store. It
+builds no `Reading` and no `Cloud`. A plan of at least `_FORK_MIN_READINGS`
+readings, with two usable CPUs and no other thread, first forks one child
+that generates every other batch; a batch's values are keyed on it alone,
+so they do not depend on the process.
 """
 
 from __future__ import annotations
@@ -358,8 +358,8 @@ def _answer_queries(
     `run_scenario` and the CLI's `run` call it once per run, and
     `compare_strategies` never does. It plans the batches, generates each
     once into a store (on two processes when `_generate_forked` may run,
-    else on first read), then answers each query with `cloud._answer` over
-    its `_clipped` window's columns.
+    then the rest in plan order), and only then answers each query with
+    `cloud._answer` over its `_clipped` window's columns.
     """
     _require_thresholds(thresholds)
     _require_ranges(ranges)
@@ -369,11 +369,6 @@ def _answer_queries(
 
     def generate(key: tuple[SensorType, int]) -> list:
         return _reading_columns(sensors_of[key[0]], key[1], cfg.seed, ranges)
-
-    def batch(*key) -> list:
-        if key not in store:
-            store[key] = generate(key)
-        return store[key]
 
     store: dict[tuple[SensorType, int], list] = {}
     plan = _plan(cfg, workload)
@@ -385,9 +380,12 @@ def _answer_queries(
         and threading.active_count() == 1  # a fork copies no other thread
     ):
         _generate_forked(store, plan, generate)
+    for key in plan:  # in plan order, so the first failing batch raises
+        if key not in store:
+            store[key] = generate(key)
     answered = []
     for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
-        columns_of = partial(_batch_columns, batch, _clipped(cfg, tick, query))
+        columns_of = partial(_batch_columns, store, _clipped(cfg, tick, query))
         answered.append((tick, _answer(query, columns_of, cfg.segment_length, thresholds)))
     return tuple(answered)
 
@@ -396,11 +394,11 @@ def _generate_forked(store: dict, plan: list, generate: Callable) -> None:
     """Store the planned batches: a forked child generates every other one
     and marshals them into a pipe while this process generates the rest.
     A batch that fails, and the rest of its process's share, stay out of
-    the store and fail again on first read. The child is always reaped."""
+    the store for the caller's plan-order fill. The child is always reaped."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: every batch generates on first read
+    except OSError:  # no process to spare: the fill generates every batch
         os.close(read_end)
         os.close(write_end)
         return
@@ -415,7 +413,7 @@ def _generate_forked(store: dict, plan: list, generate: Callable) -> None:
     try:
         # closed before the wait, so a child blocked on a full pipe can exit
         with os.fdopen(read_end, "rb") as pipe:
-            with suppress(Exception):  # raised again by the batch's first read
+            with suppress(Exception):  # raised again by the plan-order fill
                 for key in plan[::2]:
                     store[key] = generate(key)
             with suppress(EOFError, ValueError):  # the child failed or died first
@@ -424,12 +422,12 @@ def _generate_forked(store: dict, plan: list, generate: Callable) -> None:
         os.waitpid(pid, 0)
 
 
-def _batch_columns(batch: Callable, ticks: range, sensor_type: SensorType) -> list[list]:
+def _batch_columns(store: dict, ticks: range, sensor_type: SensorType) -> list[list]:
     """A sensor type's payload columns over the ticks, joined in tick order
-    from its batches: `batch(sensor type, tick)` reads the run's store."""
+    from the run's stored batches."""
     columns = [[] for _ in fields(PAYLOAD_TYPE[sensor_type])]
     for tick in ticks:
-        for column, values in zip(columns, batch(sensor_type, tick)):
+        for column, values in zip(columns, store[sensor_type, tick]):
             column.extend(values)
     return columns
 

@@ -242,7 +242,7 @@ def load_topology(config_text: str) -> ScenarioConfig:
     """
     try:
         raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")

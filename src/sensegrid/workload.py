@@ -234,7 +234,7 @@ def load_workload(text: str) -> Workload:
     """Parse a workload from JSON with keys `queries` and `requests`."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise WorkloadError(f"workload is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise WorkloadError("workload: expected a JSON object")

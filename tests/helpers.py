@@ -5,8 +5,9 @@ accounting code paths: clustering is checked against fixpoint set merging,
 election against a from-scratch argmin, cost reports against a direct
 re-summation of the raw trace, flat's answers against a fresh store
 rebuilt for every query, the trace serializer against the recursive
-canonical writer over a dict per message, and message counts against their
-closed forms. Distance terms are accumulated in the same (sorted) order as
+canonical writer over a dict per message, message counts against their
+closed forms, and the transmission stream against a rebuild from the
+simulator's documented rules. Distance terms are accumulated in the same (sorted) order as
 the implementation so exact-tie cases stay exact.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import statistics
 
 from sensegrid import (
     Cloud,
@@ -26,6 +28,7 @@ from sensegrid import (
     generate_reading,
 )
 from sensegrid.cloud import SERVICE_SENSOR_TYPE
+from sensegrid.simulate import ComputeEvent, Message, SimulationTrace
 from sensegrid.report import canonical_json, estimation_report_dict, gridset_list
 from sensegrid.workload import DEFAULT_RANGES
 
@@ -175,6 +178,79 @@ def flat_answers_oracle(
             (tick, answer_centric_query(query, scratch, cfg.segment_length, thresholds))
         )
     return tuple(answered)
+
+
+def stream_oracle(cfg, workload, strategy: str) -> SimulationTrace:
+    """A run's transmissions and compute events, rebuilt row by row from the
+    rules in the `simulate` docstring, as a trace with no grids or answers.
+
+    Every tick of the run (tick 0 of a zero-tick run) sends its reports,
+    then its queries, then its requests, each in input order. qcps sends
+    each sensor's report to its coordinator, found by `closure_oracle` and
+    `medoid_oracle` with the config's overrides applied, which forwards it
+    to the cloud; a query is a user/cloud round trip, and a request goes
+    through the requester's own coordinator to the cloud and back. flat's
+    gateway sits at the `statistics.fmean` centroid and polls every sensor
+    of a requested type once per window tick; a request is a direct round
+    trip whose compute event is at the target. Every row is one `Message`,
+    numbered in emission order.
+    """
+    nodes = {s.node_id: s for s in cfg.sensors}
+    rows = []  # (tick, src, dst, medium, purpose, wireless distance)
+    events = []
+    if strategy == "qcps":
+        coordinator = {}
+        for group in closure_oracle(list(cfg.sensors), cfg.threshold):
+            members = tuple(sorted(group))
+            pinned = cfg.coordinator_overrides.get(nodes[members[0]].sensor_type)
+            chosen = pinned if pinned in group else medoid_oracle(members, nodes)
+            coordinator.update(dict.fromkeys(members, chosen))
+    elif cfg.sensors:
+        gateway = Position(*(
+            statistics.fmean(getattr(s.position, axis) for s in cfg.sensors)
+            for axis in "xyz"
+        ))
+    for tick in range(max(cfg.duration_ticks, 1)):
+        if strategy == "qcps" and tick < cfg.duration_ticks:
+            for sensor in cfg.sensors:
+                hub = coordinator[sensor.node_id]
+                hop = raw_distance(sensor.position, nodes[hub].position)
+                rows.append((tick, sensor.node_id, hub, "wireless", "report", hop))
+                rows.append((tick, hub, "cloud", "infrastructure", "report", 0.0))
+        for query in (query for at, query in workload.queries if at == tick):
+            if strategy == "qcps":
+                rows.append((tick, "user", "cloud", "infrastructure", "query", 0.0))
+                rows.append((tick, "cloud", "user", "infrastructure", "answer", 0.0))
+                site = "cloud"
+            else:
+                types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
+                polled = [(s.node_id, raw_distance(gateway, s.position))
+                          for s in cfg.sensors if s.sensor_type in types]
+                start, end = query.window
+                for _ in range(start, end + 1):
+                    for node_id, hop in polled:
+                        rows.append((tick, "gateway", node_id, "wireless", "request", hop))
+                        rows.append((tick, node_id, "gateway", "wireless", "response", hop))
+                site = "gateway"
+            events.extend(ComputeEvent(tick, site) for _ in query.requested_services)
+        for at, requester, target in workload.requests:
+            if at != tick:
+                continue
+            if strategy == "qcps":
+                hub = coordinator[requester]
+                hop = raw_distance(nodes[requester].position, nodes[hub].position)
+                rows.append((tick, requester, hub, "wireless", "request", hop))
+                rows.append((tick, hub, "cloud", "infrastructure", "request", 0.0))
+                rows.append((tick, "cloud", hub, "infrastructure", "response", 0.0))
+                rows.append((tick, hub, requester, "wireless", "response", hop))
+                events.append(ComputeEvent(tick, "cloud"))
+            else:
+                hop = raw_distance(nodes[requester].position, nodes[target].position)
+                rows.append((tick, requester, target, "wireless", "request", hop))
+                rows.append((tick, target, requester, "wireless", "response", hop))
+                events.append(ComputeEvent(tick, target))
+    messages = tuple(Message(i, *row) for i, row in enumerate(rows))
+    return SimulationTrace(strategy, messages, tuple(events), None, ())
 
 
 def random_instance(rng: random.Random, max_nodes: int = 50) -> list[SensorNode]:

@@ -150,6 +150,28 @@ def test_malformed_files_exit_2_without_a_traceback(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+UNREADABLE_FILES = {
+    "config_nested_too_deeply": (("--topology",), "config is not valid JSON: "),
+    "config_not_utf8": (("--topology",), "config is not valid UTF-8: "),
+    "workload_nested_too_deeply": (("--testbed", "--workload"), "workload is not valid JSON: "),
+    "workload_not_utf8": (("--testbed", "--workload"), "workload is not valid UTF-8: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_files_exit_2_without_a_traceback(tmp_path, case):
+    flags, message = UNREADABLE_FILES[case]
+    path = tmp_path / "input.json"
+    if case.endswith("utf8"):
+        path.write_bytes(b'{"queries": [], "x": "\xff"}')
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    result = run_cli("compare", *flags, str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in result.stderr
+
+
 def test_run_is_byte_identical(tmp_path):
     args = (
         "run", "--testbed", "--strategy", "qcps",

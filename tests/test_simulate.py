@@ -64,6 +64,7 @@ from helpers import (
     random_instance,
     resum_costs,
     serialize_trace_oracle,
+    stream_oracle,
 )
 
 
@@ -903,6 +904,31 @@ def test_the_plan_lists_the_batches_a_serial_run_generates(generated):
             ]
 
 
+def test_a_serial_run_generates_every_planned_batch_before_its_first_answer(
+    testbed, generated, monkeypatch
+):
+    # the plan holds 176 readings, under the fork threshold
+    cfg = dataclasses.replace(testbed, duration_ticks=12)
+    workload = generate_workload(cfg, 6, 0)
+    at_first_answer = []
+    real = simulate._answer
+
+    def answer(*args):
+        if not at_first_answer:
+            at_first_answer.append(list(generated))
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_answer", answer)
+    simulate._answer_queries(cfg, workload)
+    planned = [
+        (sensor.node_id, tick)
+        for sensor_type, tick in simulate._plan(cfg, workload)
+        for sensor in cfg.sensors
+        if sensor.sensor_type is sensor_type
+    ]
+    assert planned and at_first_answer == [planned]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(_small_scenarios())
 def test_strategies_answer_like_the_oracle(scenario):
@@ -924,6 +950,58 @@ def test_a_travel_time_that_overflows_raises_a_named_error(testbed, segment_leng
     for strategy in (QCPS, FLAT):
         with pytest.raises(ConfigError, match=message):
             run_scenario(cfg, workload, strategy, ranges=ReadingRanges(speed=speed))
+    # an answer raises it, not a batch, so the forked path's fill must not pre-empt it
+    with _forced_fork() as forked, pytest.raises(ConfigError, match=message):
+        run_scenario(cfg, workload, QCPS, ranges=ReadingRanges(speed=speed))
+    assert len(forked) == 1
+
+
+@st.composite
+def _stream_scenarios(draw):
+    """Small runs with requests, overrides and duplicate positions; windows
+    may run past the run, and a run may have zero ticks."""
+    sensors = []
+    for i in range(draw(st.integers(0, 7))):
+        if sensors and draw(st.booleans()):
+            position = draw(st.sampled_from(sensors)).position
+        else:
+            position = Position(*(draw(st.integers(0, 40)) for _ in range(3)))
+        sensors.append(SensorNode(f"N{i}", draw(st.sampled_from(SensorType)), position))
+    overrides = {}
+    for sensor in sensors:
+        if sensor.sensor_type not in overrides and draw(st.booleans()):
+            overrides[sensor.sensor_type] = sensor.node_id
+    ticks = draw(st.integers(0, 5))
+    cfg = ScenarioConfig(
+        sensors=tuple(sensors),
+        threshold=draw(st.integers(1, 60)),
+        duration_ticks=ticks,
+        coordinator_overrides=overrides,
+    )
+    event_tick = st.integers(0, max(0, ticks - 1))
+    queries = []
+    for i in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, 7))
+        services = draw(st.lists(st.sampled_from(Service), min_size=1, max_size=4, unique=True))
+        window = (start, draw(st.integers(start, 9)))
+        queries.append((draw(event_tick), CentricQuery(f"Q{i}", tuple(services), window)))
+    ids = st.sampled_from([s.node_id for s in sensors]) if sensors else st.nothing()
+    requests = draw(st.lists(st.tuples(event_tick, ids, ids), max_size=4 if sensors else 0))
+    return cfg, Workload(queries=tuple(queries), requests=tuple(requests))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(_stream_scenarios())
+def test_runs_emit_the_stream_the_docstring_describes(scenario):
+    cfg, workload = scenario
+    for strategy in (QCPS, FLAT):
+        expected = stream_oracle(cfg, workload, strategy)
+        trace = run_scenario(cfg, workload, strategy)
+        assert tuple(trace.messages) == expected.messages
+        assert trace.compute_events == expected.compute_events
+        costs = resum_costs(expected)
+        price = simulate._price(cfg, workload, strategy)[1]
+        assert {name: getattr(price, name) for name in costs} == costs
 
 
 def _refuse_constant(name):

@@ -271,6 +271,9 @@ def test_load_topology_bad_sensor_type():
 def test_load_topology_rejects_non_json():
     with pytest.raises(ConfigError, match="JSON"):
         load_topology("{nope")
+    for text in ("[" * 100_000 + "]" * 100_000, '{"sensors": ' + "[" * 100_000):
+        with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+            load_topology(text)
 
 
 def test_load_topology_override_must_name_known_sensor_of_type():

@@ -270,6 +270,9 @@ def test_load_workload_rejects_bad_shapes():
         WorkloadError, match=r"^workload\.requests\[0\]: requester and target must be sensor ids$"
     ):
         load_workload(json.dumps({"requests": [{"tick": 0, "requester": 5, "target": "ES_2"}]}))
+    for text in ("[" * 100_000 + "]" * 100_000, '{"queries": ' + "[" * 100_000):
+        with pytest.raises(WorkloadError, match="^workload is not valid JSON: "):
+            load_workload(text)
 
 
 def test_validate_workload_checks_ids_and_ticks(testbed):
