@@ -2,25 +2,26 @@
 
 Reports must be byte-identical across runs and platforms, so JSON is
 emitted by a small writer of our own: keys sorted, floats fixed at six
-decimal places, no locale or dict-order dependence anywhere.
+decimal places, no locale or dict-order dependence anywhere. It appends
+a document's texts to one list, joined once.
 
 Every trace goes through the canonical writer as one dict. A trace from
 ``run_scenario`` holds one message per transmission, hundreds of thousands
-in a large run, so the writer builds no dict per message for it: it fills
-the messages from the (tick, block) items the strategy runners yielded,
-whose value types are fixed and whose blocks repeat. Each distinct block
-becomes one template with every name and distance already in place, and
-each item fills it with its message ids and tick, building no ``Message``.
-Any other trace, such as one built through the API, is written one dict
-per message, whatever its values. Either way the bytes equal
-``canonical_json(trace_dict(trace))``, where ``trace_dict`` is the dict
-view kept in the tests as the reference, and the tests enforce it.
+in a large run, so the writer builds no dict per message for it: it cuts
+the text it writes for placeholder messages, at the depth where they
+stand, into the fixed texts between their values, and fills those from
+the (tick, block) items the strategy runners yielded, whose value types
+are fixed and whose blocks repeat. Any other trace, such as one built
+through the API, is written one dict per message, whatever its values.
+Either way the bytes equal ``canonical_json(trace_dict(trace))``, where
+``trace_dict`` is the dict view kept in the tests as the reference, and
+the tests enforce it.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import fields
 
@@ -41,51 +42,41 @@ from .topology import ScenarioConfig, _require_type, config_payload
 TOOL_VERSION = "0.1.0"
 
 
-def _write_canonical(value, out: io.StringIO, indent: int) -> None:
+def _write_canonical(value, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
-            out.write("{}")
+            out.append("{}")
             return
-        out.write("{\n")
+        out.append("{\n")
         keys = sorted(value)
         for i, key in enumerate(keys):
-            out.write(f'{pad}  {json.dumps(str(key))}: ')
+            out.append(f'{pad}  {json.dumps(str(key))}: ')
             _write_canonical(value[key], out, indent + 1)
-            out.write(",\n" if i < len(keys) - 1 else "\n")
-        out.write(pad + "}")
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.write("[]")
+            out.append("[]")
             return
-        out.write("[\n")
+        out.append("[\n")
         for i, item in enumerate(value):
-            out.write(pad + "  ")
+            out.append(pad + "  ")
             _write_canonical(item, out, indent + 1)
-            out.write(",\n" if i < len(value) - 1 else "\n")
-        out.write(pad + "]")
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "]")
     elif isinstance(value, bool):
-        out.write("true" if value else "false")
+        out.append("true" if value else "false")
     elif isinstance(value, int):
-        out.write(str(value))
+        out.append(str(value))
     elif isinstance(value, float):
-        out.write(_json_float(value))
+        out.append(_json_float(value))
     elif isinstance(value, str):
-        out.write(json.dumps(value))
+        out.append(json.dumps(value))
     elif value is None:
-        out.write("null")
-    elif type(value) is _Messages:
-        # a runner trace's messages; the row templates are indented for
-        # depth 1, where a trace's "messages" stands
-        if not value:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, text in enumerate(_block_texts(value._items)):
-            if i:
-                out.write(",\n")
-            out.write(text)
-        out.write("\n" + pad + "]")
+        out.append("null")
+    elif type(value) is _Messages:  # a runner trace's messages
+        _write_messages(value._items, out, indent)
     else:
         raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
@@ -95,10 +86,10 @@ def _json_float(value: float) -> str:
 
 
 def canonical_json(value) -> str:
-    out = io.StringIO()
+    out = []
     _write_canonical(value, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +143,10 @@ def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[d
     return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
 
 
-# The keys of an API-built trace's messages and of any trace's compute
-# events; their values are read by name, so any object with them will do.
+# The keys of a trace's messages and compute events. An API-built trace's
+# values are read by name, so any object with them will do.
 _MESSAGE_FIELDS = tuple(f.name for f in fields(Message))
 _EVENT_FIELDS = tuple(f.name for f in fields(ComputeEvent))
-
-# One message as ``_write_canonical`` writes it inside the trace's message
-# list (depth 2): keys sorted, one value per slot.
-_MESSAGE_ROW = (
-    "    {\n"
-    '      "dst": %s,\n'
-    '      "medium": %s,\n'
-    '      "msg_id": %s,\n'
-    '      "purpose": %s,\n'
-    '      "src": %s,\n'
-    '      "tick": %s,\n'
-    '      "wireless_distance": %s\n'
-    "    }"
-)
 
 
 def serialize_trace(trace: SimulationTrace) -> str:
@@ -189,43 +166,56 @@ def serialize_trace(trace: SimulationTrace) -> str:
     })
 
 
-class _TemplateTexts(dict):
-    """The JSON text of each name (a str) or distance (a float), made once,
-    with `%` doubled to stand literally in a template."""
+def _write_messages(items, out: list[str], indent: int) -> None:
+    """Write a runner trace's messages from its (tick, block) items as
+    ``_write_canonical`` writes a list of their dicts at ``indent``.
 
-    def __missing__(self, value) -> str:
-        text = json.dumps(value) if isinstance(value, str) else _json_float(value)
-        text = self[value] = text.replace("%", "%%")
-        return text
-
-
-def _block_texts(items):
-    """The message rows of a runner trace, one text per non-empty item.
-
-    Their value types are fixed: ticks are ints, a message's id is its row
-    index, names are strs and distances floats. So each distinct block is
-    formatted once per call into a template of its rows, with a `%s` slot
-    for each row's id and tick, and an item fills it with interleaved
-    (id, tick) arguments.
+    The fixed texts are the writer's own: a list of two message dicts
+    whose values are placeholders is written once per call and cut at
+    them. Ticks are ints, a message's id is its row index, names are strs
+    and distances floats, so each distinct block's rows are joined once,
+    names and distances in place, around their ids and ticks, and an item
+    joins that with its ids and tick. Without rows, the list is empty.
     """
-    text = _TemplateTexts()
-    templates = {}  # id(block) -> template; the items keep each block alive
+    placeholders = {key: "\0" + key for key in _MESSAGE_FIELDS}
+    slots = {json.dumps(text): key for key, text in placeholders.items()}
+    layout = []
+    _write_canonical([placeholders] * 2, layout, indent)
+    # fixed texts alternate with placeholders, one message after the other
+    parts = re.split("(" + "|".join(map(re.escape, slots)) + ")", "".join(layout))
+    keys = [slots[slot] for slot in parts[1 : len(parts) // 2 : 2]]
+    head, *within, between = parts[: len(parts) // 2 + 1 : 2]
+    # an item's text alternates fixed texts and gaps, a row's id and tick
+    id_at = 1 + 2 * (keys.index("msg_id") > keys.index("tick"))
+
+    def cut(rows) -> list[str]:
+        pieces, run = [], []
+        for i, row in enumerate(rows):
+            values = dict(zip(_MESSAGE_FIELDS[2:], row))  # a row: a message after id and tick
+            for j, key in enumerate(keys):
+                run.append(within[j - 1] if j else between if i else "")
+                if key in values:
+                    _write_canonical(values[key], run, 0)
+                else:
+                    pieces.append("".join(run))
+                    run = []
+        pieces.append("".join(run))
+        return pieces
+
+    blocks = {}  # id(block) -> its cut rows; the items keep each block alive
     msg_id = 0
     for tick, block in items:
         n = len(block.rows)
-        if not n:
-            continue
-        template = templates.get(id(block))
-        if template is None:
-            template = templates[id(block)] = ",\n".join(
-                _MESSAGE_ROW
-                % (text[dst], text[medium], "%s", text[purpose], text[src], "%s", text[dist])
-                for src, dst, medium, purpose, dist in block.rows
-            )
-        args = [tick] * (2 * n)
-        args[::2] = range(msg_id, msg_id + n)
-        yield template % tuple(args)
-        msg_id += n
+        if n:
+            if id(block) not in blocks:
+                blocks[id(block)] = cut(block.rows)
+            text = [str(tick)] * (4 * n + 1)
+            text[::2] = blocks[id(block)]
+            text[id_at::4] = map(str, range(msg_id, msg_id + n))
+            out.append(between if msg_id else head)
+            out.append("".join(text))
+            msg_id += n
+    out.append(parts[-1] if msg_id else "[]")
 
 
 def build_run_report(

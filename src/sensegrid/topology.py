@@ -234,18 +234,33 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
             raise ConfigError(f"{path}.{key}: missing field")
 
 
+def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
+    """The JSON object that `text` holds; `name` starts each error. A key
+    repeated in any object raises instead of keeping its last value."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+            raise error(f"{name}: repeated field {key!r}")
+        return obj
+
+    try:
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+        raise error(f"{name} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{name}: expected a JSON object")
+    return raw
+
+
 def load_topology(config_text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from its JSON text form.
 
-    Unknown fields are rejected, every error names the offending field path,
+    Unknown and repeated fields are rejected, each error names its field,
     and the result round-trips exactly through dump_topology.
     """
-    try:
-        raw = json.loads(config_text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
+    raw = _load_object(config_text, "config", ConfigError)
     _check_keys(raw, _TOP_KEYS, _REQUIRED_TOP_KEYS, "config")
 
     if not isinstance(raw["sensors"], list):

@@ -8,7 +8,6 @@ depend on the order in which other values were drawn.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .cloud import (
 )
 from .errors import ConfigError, WorkloadError
 from .topology import (
-    ScenarioConfig, SensorNode, SensorType,
+    ScenarioConfig, SensorNode, SensorType, _load_object,
     _require_count, _require_finite, _require_positive, _require_real, _require_type,
 )
 
@@ -232,12 +231,7 @@ def generate_workload(
 
 def load_workload(text: str) -> Workload:
     """Parse a workload from JSON with keys `queries` and `requests`."""
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-        raise WorkloadError(f"workload is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise WorkloadError("workload: expected a JSON object")
+    raw = _load_object(text, "workload", WorkloadError)
     for key in raw:
         if key not in ("queries", "requests"):
             raise WorkloadError(f"workload.{key}: unknown field")

@@ -172,6 +172,30 @@ def test_unreadable_files_exit_2_without_a_traceback(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+REPEATED_FIELDS = {
+    "config": (
+        ("--topology",),
+        dump_topology(builtin_testbed()).replace('"seed": ', '"seed": 1, "seed": ', 1),
+        "config: repeated field 'seed'",
+    ),
+    "workload": (
+        ("--testbed", "--workload"),
+        '{"requests": [], "requests": []}',
+        "workload: repeated field 'requests'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_FIELDS))
+def test_repeated_fields_exit_2_without_a_traceback(tmp_path, case):
+    flags, text, message = REPEATED_FIELDS[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    result = run_cli("compare", *flags, str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_run_is_byte_identical(tmp_path):
     args = (
         "run", "--testbed", "--strategy", "qcps",

@@ -65,6 +65,7 @@ from helpers import (
     resum_costs,
     serialize_trace_oracle,
     stream_oracle,
+    trace_dict,
 )
 
 
@@ -1085,6 +1086,14 @@ def test_serialize_trace_matches_oracle_on_testbed(golden_run):
         assert_same_text(serialize_trace(trace), serialize_trace_oracle(trace))
 
 
+@pytest.mark.parametrize("strategy", [QCPS, FLAT])
+def test_runner_messages_are_written_as_their_dicts_at_any_depth(golden_run, strategy):
+    trace = golden_run[1][strategy]
+    messages, dicts = trace.messages, trace_dict(trace)["messages"]
+    for place in (lambda m: m, lambda m: {"m": m}, lambda m: {"a": [{"m": m}]}):
+        assert_same_text(report.canonical_json(place(messages)), report.canonical_json(place(dicts)))
+
+
 def test_traces_match_serializer_and_count_oracles_over_random_scenarios():
     rng = random.Random(90210)
     for _ in range(12):
@@ -1236,8 +1245,9 @@ ODD_IDS = ("per%cent", "fmt%s", "%%d", 'q"uote', "Zürich", "東京", "%(x)s")
 
 @pytest.mark.parametrize("strategy", [QCPS, FLAT])
 def test_serialize_trace_matches_oracle_for_odd_sensor_ids(strategy):
-    # names are formatted into a per-block `%` template, so `%` must stand
-    # literally and JSON escapes must survive
+    # a block's names are written into its fixed texts once and reused by
+    # every item, so quotes, `%` and non-ASCII must come out as the writer
+    # escapes them in a message dict
     sensors = tuple(
         SensorNode(node_id, list(SensorType)[i % 4], Position(i * 7.0, (i * 13) % 50, i % 3))
         for i, node_id in enumerate(ODD_IDS + tuple(f"N_{i}" for i in range(9)))

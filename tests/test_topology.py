@@ -276,6 +276,14 @@ def test_load_topology_rejects_non_json():
             load_topology(text)
 
 
+def test_load_topology_rejects_repeated_fields():
+    text = json.dumps(_testbed_json(threshold=100))
+    load_topology(text)
+    for field in ("threshold", "x"):  # top level, and the first sensor's
+        with pytest.raises(ConfigError, match=rf"^config: repeated field '{field}'$"):
+            load_topology(text.replace(f'"{field}": ', f'"{field}": 5, "{field}": ', 1))
+
+
 def test_load_topology_override_must_name_known_sensor_of_type():
     raw = _testbed_json(coordinator_overrides={"environment": "VS_1"})
     with pytest.raises(ConfigError, match="coordinator_overrides"):

@@ -275,6 +275,16 @@ def test_load_workload_rejects_bad_shapes():
             load_workload(text)
 
 
+def test_load_workload_rejects_repeated_fields():
+    cases = {
+        "queries": '{"queries": [], "queries": []}',
+        "tick": '{"queries": [{"tick": 1, "tick": 2, "services": ["environment"]}]}',
+    }
+    for field, text in cases.items():
+        with pytest.raises(WorkloadError, match=rf"^workload: repeated field '{field}'$"):
+            load_workload(text)
+
+
 def test_validate_workload_checks_ids_and_ticks(testbed):
     validate_workload(generate_workload(testbed, 5, 5), testbed)
     with pytest.raises(WorkloadError, match="unknown sensor"):
