@@ -6,20 +6,15 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Parsing and config loading need only these two modules. Each command
+# imports the modules it runs, so form-grids never loads the simulator.
 from .errors import ConfigError, SenseGridError, WorkloadError
-from .grids import form_grids
-from .report import (
-    build_run_report,
-    canonical_json,
-    comparison_csv,
-    comparison_dict,
-    comparison_table,
-    cost_csv,
-)
-from .simulate import STRATEGIES, _answer_queries, _price, compare_strategies
-from .topology import ScenarioConfig, builtin_testbed, load_topology
-from .workload import Workload, generate_workload, load_workload
+from .topology import STRATEGIES, ScenarioConfig, builtin_testbed, load_topology
+
+if TYPE_CHECKING:
+    from .workload import Workload
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
@@ -87,6 +82,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _load_workload(args: argparse.Namespace, cfg: ScenarioConfig) -> Workload:
+    from .workload import generate_workload, load_workload
+
     if args.workload is not None:
         if args.queries is not None or args.requests is not None:
             raise WorkloadError("--workload cannot be combined with --queries or --requests")
@@ -106,19 +103,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_form_grids(args: argparse.Namespace) -> int:
+    from .grids import form_grids
+
     cfg = _load_config(args)
     grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
-    for grid in grids.grids:
-        print(
-            f"grid {grid.grid_id}: type={grid.sensor_type.value} "
-            f"coordinator={grid.coordinator} election={grid.election} "
-            f"members={','.join(grid.members)}"
-        )
-    print(f"{len(grids.grids)} grids")
+    lines = [
+        f"grid {grid.grid_id}: type={grid.sensor_type.value} "
+        f"coordinator={grid.coordinator} election={grid.election} "
+        f"members={','.join(grid.members)}\n"
+        for grid in grids.grids
+    ]
+    _emit("".join(lines) + f"{len(grids.grids)} grids\n", None)
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .report import build_run_report, canonical_json, cost_csv
+    from .simulate import _answer_queries, _price
+
     cfg = _load_config(args)
     workload = _load_workload(args, cfg)
     grids, cost = _price(cfg, workload, args.strategy)
@@ -132,6 +134,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .report import canonical_json, comparison_csv, comparison_dict, comparison_table
+    from .simulate import compare_strategies
+
     cfg = _load_config(args)
     workload = _load_workload(args, cfg)
     comparison = compare_strategies(cfg, workload)

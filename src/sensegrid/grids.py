@@ -113,10 +113,18 @@ def form_grids(
                 q = positions[b]
                 dx = q.x - p.x
                 # distance() >= sqrt(fl(dx*dx)), even when the squares underflow,
-                # and dx only grows along the sweep: no later sensor can join
+                # and dx only grows along the sweep: no later sensor can join.
+                # Rounded addition of non-negative terms is monotone, and so is
+                # sqrt, so distance() >= sqrt(fl(dy*dy)) as well: a y gap alone
+                # can rule this pair out. Either guard squares its gap first, so
+                # a gap whose square no float holds still raises; a pair ruled
+                # out leaves its z gap unsquared, as a pair past dx always has.
                 try:
                     if math.sqrt(dx * dx) >= threshold:
                         break
+                    dy = q.y - p.y
+                    if math.sqrt(dy * dy) >= threshold:
+                        continue
                     if distance(p, q) < threshold:
                         parent[root(indices[a])] = root(indices[b])
                 except (OverflowError, ConfigError):  # a gap whose square no float holds

@@ -25,6 +25,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import fields
 
+from . import TOOL_VERSION
 from .cloud import EstimationReport
 from .errors import ConfigError
 from .grids import GridSet, form_grids
@@ -39,8 +40,6 @@ from .simulate import (
 )
 from .topology import ScenarioConfig, _require_type, config_payload
 
-TOOL_VERSION = "0.1.0"
-
 
 def _write_canonical(value, out: list[str], indent: int) -> None:
     pad = "  " * indent
@@ -48,10 +47,13 @@ def _write_canonical(value, out: list[str], indent: int) -> None:
         if not value:
             out.append("{}")
             return
+        for key in value:  # keys sort as the texts they are written as
+            if not isinstance(key, str):
+                raise TypeError(f"cannot canonicalize a dict key of type {type(key).__name__}")
         out.append("{\n")
         keys = sorted(value)
         for i, key in enumerate(keys):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
+            out.append(f'{pad}  {json.dumps(key)}: ')
             _write_canonical(value[key], out, indent + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")

@@ -83,7 +83,10 @@ from .errors import ConfigError, RoutingError, WorkloadError
 from .grids import _TOO_FAR, GridSet, form_grids
 from .topology import (
     CLOUD_SITE,
+    FLAT,
     GATEWAY_SITE,
+    QCPS,
+    STRATEGIES,
     USER_SITE,
     CostParams,
     Position,
@@ -102,10 +105,6 @@ from .workload import (
     _require_ranges,
     validate_workload,
 )
-
-QCPS = "qcps"
-FLAT = "flat"
-STRATEGIES = (QCPS, FLAT)
 
 WIRELESS = "wireless"
 INFRASTRUCTURE = "infrastructure"

@@ -34,6 +34,11 @@ USER_SITE = "user"
 GATEWAY_SITE = "gateway"
 _RESERVED_IDS = frozenset({CLOUD_SITE, USER_SITE, GATEWAY_SITE})
 
+# The two routing strategies a scenario runs: grid-clustered and flat radio.
+QCPS = "qcps"
+FLAT = "flat"
+STRATEGIES = (QCPS, FLAT)
+
 
 def _require_type(value: object, cls: type, name: str, error: type[SenseGridError]) -> None:
     """Reject a whole argument that is not an instance of cls."""
@@ -214,6 +219,7 @@ def distance(a: Position, b: Position) -> float:
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 _REQUIRED_TOP_KEYS = tuple(key for key in _TOP_KEYS if key != "coordinator_overrides")
 _SENSOR_KEYS = ("id", "type", "x", "y", "z")
+_SENSOR_KEY_SET = frozenset(_SENSOR_KEYS)
 _COST_KEYS = tuple(f.name for f in dataclasses.fields(CostParams))
 
 
@@ -232,6 +238,23 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}.{key}: missing field")
+
+
+def _check_sensor(entry: object, path: str) -> None:
+    """Raise the ConfigError naming the first fault of one sensor entry."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _check_keys(entry, _SENSOR_KEYS, _SENSOR_KEYS, path)
+    node_id = entry["id"]
+    if not isinstance(node_id, str) or not node_id:
+        raise ConfigError(f"{path}.id: expected a non-empty string")
+    type_name = entry["type"]
+    if not isinstance(type_name, str) or type_name not in _TYPE_BY_NAME:
+        raise ConfigError(
+            f"{path}.type: expected one of {sorted(_TYPE_BY_NAME)}, got {type_name!r}"
+        )
+    for axis in ("x", "y", "z"):
+        _require_number(entry, axis, path)
 
 
 def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
@@ -267,24 +290,21 @@ def load_topology(config_text: str) -> ScenarioConfig:
         raise ConfigError("config.sensors: expected an array")
     sensors: list[SensorNode] = []
     for i, entry in enumerate(raw["sensors"]):
-        path = f"config.sensors[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        _check_keys(entry, _SENSOR_KEYS, _SENSOR_KEYS, path)
-        node_id = entry["id"]
-        if not isinstance(node_id, str) or not node_id:
-            raise ConfigError(f"{path}.id: expected a non-empty string")
-        type_name = entry["type"]
-        if not isinstance(type_name, str) or type_name not in _TYPE_BY_NAME:
-            raise ConfigError(
-                f"{path}.type: expected one of {sorted(_TYPE_BY_NAME)}, got {type_name!r}"
-            )
-        position = Position(
-            _require_number(entry, "x", path),
-            _require_number(entry, "y", path),
-            _require_number(entry, "z", path),
-        )
-        sensors.append(SensorNode(node_id, _TYPE_BY_NAME[type_name], position))
+        # one check accepts the common entry; any other takes the per-field
+        # checks, which name its first fault or accept it (int coordinates)
+        if not (
+            type(entry) is dict
+            and entry.keys() == _SENSOR_KEY_SET
+            and type(entry["id"]) is str
+            and entry["id"]
+            and type(entry["type"]) is str
+            and entry["type"] in _TYPE_BY_NAME
+            and type(entry["x"]) is type(entry["y"]) is type(entry["z"]) is float
+            and math.isfinite(entry["x"] + entry["y"] + entry["z"])  # not if one is inf or NaN
+        ):
+            _check_sensor(entry, f"config.sensors[{i}]")
+        position = Position(float(entry["x"]), float(entry["y"]), float(entry["z"]))
+        sensors.append(SensorNode(entry["id"], _TYPE_BY_NAME[entry["type"]], position))
 
     threshold = _require_number(raw, "threshold", "config")
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import io
 import json
@@ -32,6 +33,26 @@ def test_form_grids_testbed():
     assert len(lines) == 4
     vision = next(line for line in lines if "type=vision" in line)
     assert "coordinator=VS_3" in vision
+
+
+def test_form_grids_loads_no_simulator_module():
+    # as `python -m sensegrid form-grids --testbed`, listing what it loaded
+    code = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.argv = ['sensegrid', 'form-grids', '--testbed']\n"
+        "try:\n"
+        "    runpy.run_module('sensegrid', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert len(grid_lines(result.stdout)) == 4
+    loaded = set(ast.literal_eval(result.stderr))
+    assert {"sensegrid.cli", "sensegrid.topology", "sensegrid.grids"} <= loaded
+    simulator = {f"sensegrid.{name}" for name in ("cloud", "simulate", "workload", "report")}
+    assert loaded.isdisjoint({*simulator, "hashlib"})
 
 
 def test_form_grids_tiny_threshold_all_singletons():

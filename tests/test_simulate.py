@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -17,6 +19,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sensegrid
 from sensegrid import (
     CentricQuery,
     Cloud,
@@ -1441,17 +1444,56 @@ def test_gateway_position_is_bitwise_statistics_fmean(points):
     assert [float.hex(v) for v in dataclasses.astuple(gateway)] == list(map(float.hex, expected))
 
 
-def test_import_loads_no_statistics_fractions_or_decimal():
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import sensegrid\n"
-        "print(sorted({'statistics', 'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
-    )
+def _modules_loaded_by(code: str) -> list[str]:
+    """The modules that running `code` in a fresh interpreter adds."""
+    code = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))\n"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[]\n"
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_statistics_fractions_or_decimal():
+    # every submodule, since importing the package alone loads none of them
+    loaded = _modules_loaded_by(
+        "import pkgutil, sensegrid\n"
+        "for module in pkgutil.iter_modules(sensegrid.__path__):\n"
+        "    if module.name != '__main__':\n"
+        "        __import__(f'sensegrid.{module.name}')\n"
+    )
+    assert "sensegrid.simulate" in loaded and "sensegrid.cli" in loaded
+    assert {"statistics", "fractions", "decimal"}.isdisjoint(loaded)
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_loaded_by(
+        "import sensegrid\n"
+        "assert {*sensegrid.__all__, 'simulate', 'workload'} <= set(dir(sensegrid))\n"
+        "sensegrid.__version__, sensegrid.TOOL_VERSION\n"
+    )
+    assert [name for name in loaded if name.startswith("sensegrid")] == ["sensegrid"]
+
+
+def test_public_names_are_their_submodules_own():
+    for module, names in sensegrid._EXPORTS.items():
+        for name in names:
+            assert getattr(sensegrid, name) is getattr(importlib.import_module(f"sensegrid.{module}"), name)
+    assert sensegrid.TOOL_VERSION is sensegrid.__version__ is report.TOOL_VERSION
+    with pytest.raises(AttributeError, match="^module 'sensegrid' has no attribute 'missing'$"):
+        sensegrid.missing
+
+
+def test_star_import_submodule_access_and_pickles_work_from_a_fresh_import():
+    loaded = _modules_loaded_by(
+        "import pickle, sensegrid\n"
+        "cfg = sensegrid.builtin_testbed()\n"
+        "assert pickle.loads(pickle.dumps(cfg)) == cfg\n"
+        "assert sensegrid.simulate.ScenarioConfig is type(cfg)\n"
+        "from sensegrid import workload\n"
+        "from sensegrid import *\n"
+        "assert run_scenario is sensegrid.simulate.run_scenario and Workload is workload.Workload\n"
+    )
+    assert "sensegrid.report" in loaded
 
 
 @pytest.mark.parametrize("argument", ["thresholds", "ranges"])
@@ -1698,3 +1740,8 @@ def test_canonical_json_rejects_a_value_it_cannot_write():
         report.canonical_json(object())
     with pytest.raises(TypeError, match="^cannot canonicalize set$"):
         report.canonical_json({"key": [{1}]})
+    # keys sort as the texts they are written as: 10 would come before 2
+    with pytest.raises(TypeError, match="^cannot canonicalize a dict key of type int$"):
+        report.canonical_json({1: "x", 2: "y", 10: "z"})
+    with pytest.raises(TypeError, match="^cannot canonicalize a dict key of type int$"):
+        report.canonical_json({"key": {1: "x", "1": "y"}})

@@ -542,3 +542,18 @@ def test_load_topology_names_each_malformed_field(edit, message):
 def test_load_topology_rejects_a_top_level_array():
     with pytest.raises(ConfigError, match="^config: expected a JSON object$"):
         load_topology("[]")
+
+
+def test_load_topology_accepts_entries_its_one_check_passes_over():
+    # an int coordinate and a coordinate sum that overflows take the per-field checks
+    def edit(raw):
+        raw["sensors"][0].update(x=5)
+        raw["sensors"][2].update(y=1e308, z=1e308)
+
+    sensors = load_topology(_edited_testbed_text(edit)).sensors
+    assert type(sensors[0].position.x) is float and sensors[0].position.x == 5.0
+    assert (sensors[2].position.y, sensors[2].position.z) == (1e308, 1e308)
+    # a float coordinate the one check turns away is still named
+    text = _edited_testbed_text(lambda raw: raw["sensors"][1].update(z=float("nan")))
+    with pytest.raises(ConfigError, match=r"^config\.sensors\[1\]\.z: must be finite$"):
+        load_topology(text)
