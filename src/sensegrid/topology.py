@@ -91,6 +91,16 @@ def _require_override(
         )
 
 
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode text, which fails only on a lone surrogate."""
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Position:
     """A point in abstract 3-D length units; all components must be finite."""
@@ -113,6 +123,8 @@ class SensorNode:
     def __post_init__(self) -> None:
         if not isinstance(self.node_id, str) or not self.node_id:
             raise ConfigError("sensor id must be a non-empty string")
+        if not _encodable(self.node_id):
+            raise ConfigError(f"sensor id {self.node_id!r} is not encodable as UTF-8")
         if not isinstance(self.sensor_type, SensorType):
             raise ConfigError(f"sensor {self.node_id!r}: sensor_type: expected a SensorType")
         if not isinstance(self.position, Position):
@@ -241,20 +253,32 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
 
 
 def _check_sensor(entry: object, path: str) -> None:
-    """Raise the ConfigError naming the first fault of one sensor entry."""
+    """Raise the ConfigError naming the first fault of one sensor entry.
+
+    This is the only check of a sensor entry. It skips `_check_keys` when
+    the keys are exactly the schema's, and `_require_number` when x, y and
+    z are floats with a finite sum. Both pass on such an entry, so the
+    common entry costs a few type tests, and any other gets the same error
+    in the same order.
+    """
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected an object")
-    _check_keys(entry, _SENSOR_KEYS, _SENSOR_KEYS, path)
+    if entry.keys() != _SENSOR_KEY_SET:
+        _check_keys(entry, _SENSOR_KEYS, _SENSOR_KEYS, path)
     node_id = entry["id"]
     if not isinstance(node_id, str) or not node_id:
         raise ConfigError(f"{path}.id: expected a non-empty string")
+    if not _encodable(node_id):
+        raise ConfigError(f"{path}.id: {node_id!r} is not encodable as UTF-8")
     type_name = entry["type"]
     if not isinstance(type_name, str) or type_name not in _TYPE_BY_NAME:
         raise ConfigError(
             f"{path}.type: expected one of {sorted(_TYPE_BY_NAME)}, got {type_name!r}"
         )
-    for axis in ("x", "y", "z"):
-        _require_number(entry, axis, path)
+    x, y, z = entry["x"], entry["y"], entry["z"]
+    if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
+        for axis in ("x", "y", "z"):
+            _require_number(entry, axis, path)
 
 
 def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
@@ -264,13 +288,17 @@ def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
-            raise error(f"{name}: repeated field {key!r}")
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{name}: repeated field {key!r}")
+                seen.add(key)
         return obj
 
     try:
         raw = json.loads(text, object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+    # ValueError, JSONDecodeError's base, is also an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # or nested too deeply
         raise error(f"{name} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{name}: expected a JSON object")
@@ -290,19 +318,7 @@ def load_topology(config_text: str) -> ScenarioConfig:
         raise ConfigError("config.sensors: expected an array")
     sensors: list[SensorNode] = []
     for i, entry in enumerate(raw["sensors"]):
-        # one check accepts the common entry; any other takes the per-field
-        # checks, which name its first fault or accept it (int coordinates)
-        if not (
-            type(entry) is dict
-            and entry.keys() == _SENSOR_KEY_SET
-            and type(entry["id"]) is str
-            and entry["id"]
-            and type(entry["type"]) is str
-            and entry["type"] in _TYPE_BY_NAME
-            and type(entry["x"]) is type(entry["y"]) is type(entry["z"]) is float
-            and math.isfinite(entry["x"] + entry["y"] + entry["z"])  # not if one is inf or NaN
-        ):
-            _check_sensor(entry, f"config.sensors[{i}]")
+        _check_sensor(entry, f"config.sensors[{i}]")
         position = Position(float(entry["x"]), float(entry["y"]), float(entry["z"]))
         sensors.append(SensorNode(entry["id"], _TYPE_BY_NAME[entry["type"]], position))
 

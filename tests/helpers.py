@@ -17,6 +17,9 @@ import math
 import os
 import random
 import statistics
+import sys
+
+import pytest
 
 from sensegrid import (
     Cloud,
@@ -282,3 +285,55 @@ def assert_same_text(actual: str, expected: str, context: int = 100) -> None:
         f"actual:   {actual[lo:hi]!r}\n"
         f"expected: {expected[lo:hi]!r}"
     )
+
+
+_SENSOR_FIELDS = ("id", "type", "x", "y", "z")
+
+
+def sensor_entry_oracle(entry: object, path: str) -> str | tuple[float, float, float]:
+    """The message of the ConfigError that load_topology raises for one
+    sensor entry at `path`, or the (x, y, z) floats of the position it
+    accepts. Rules in order: an object; no unknown field (in entry order),
+    then no missing one (in schema order); the id; the type; then x, y, z."""
+    if not isinstance(entry, dict):
+        return f"{path}: expected an object"
+    for key in entry:
+        if key not in _SENSOR_FIELDS:
+            return f"{path}.{key}: unknown field"
+    for key in _SENSOR_FIELDS:
+        if key not in entry:
+            return f"{path}.{key}: missing field"
+    node_id = entry["id"]
+    if not isinstance(node_id, str) or node_id == "":
+        return f"{path}.id: expected a non-empty string"
+    try:
+        node_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"{path}.id: {node_id!r} is not encodable as UTF-8"
+    names = sorted(t.value for t in SensorType)
+    if not isinstance(entry["type"], str) or entry["type"] not in names:
+        return f"{path}.type: expected one of {names}, got {entry['type']!r}"
+    position = []
+    for axis in ("x", "y", "z"):
+        value = entry[axis]
+        if type(value) is bool or not isinstance(value, (int, float)):
+            return f"{path}.{axis}: expected a number"
+        try:
+            as_float = float(value)
+        except OverflowError:
+            return f"{path}.{axis}: too large for a float"
+        if math.isnan(as_float) or math.isinf(as_float):
+            return f"{path}.{axis}: must be finite"
+        if as_float != value:
+            return f"{path}.{axis}: not exactly representable as a float"
+        position.append(as_float)
+    return tuple(position)
+
+
+def huge_integer_literal() -> str:
+    """A JSON integer one digit past the interpreter's int-string limit;
+    skips the calling test where there is no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python parses integer literals of any length")
+    return "1" * (limit + 1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensegrid import builtin_testbed, cli, dump_topology
+from helpers import huge_integer_literal
 
 
 def run_cli(*args, cwd=None):
@@ -172,8 +173,10 @@ def test_malformed_files_exit_2_without_a_traceback(tmp_path, case):
 
 
 UNREADABLE_FILES = {
+    "config_huge_integer": (("--topology",), "config is not valid JSON: "),
     "config_nested_too_deeply": (("--topology",), "config is not valid JSON: "),
     "config_not_utf8": (("--topology",), "config is not valid UTF-8: "),
+    "workload_huge_integer": (("--testbed", "--workload"), "workload is not valid JSON: "),
     "workload_nested_too_deeply": (("--testbed", "--workload"), "workload is not valid JSON: "),
     "workload_not_utf8": (("--testbed", "--workload"), "workload is not valid UTF-8: "),
 }
@@ -185,6 +188,8 @@ def test_unreadable_files_exit_2_without_a_traceback(tmp_path, case):
     path = tmp_path / "input.json"
     if case.endswith("utf8"):
         path.write_bytes(b'{"queries": [], "x": "\xff"}')
+    elif case.endswith("integer"):
+        path.write_text(f'{{"seed": {huge_integer_literal()}}}')
     else:
         path.write_text("[" * 100_000 + "]" * 100_000)
     result = run_cli("compare", *flags, str(path))
@@ -215,6 +220,20 @@ def test_repeated_fields_exit_2_without_a_traceback(tmp_path, case):
     result = run_cli("compare", *flags, str(path))
     assert result.returncode == 2
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("form-grids",), ("run", "--strategy", "qcps", "--format", "json")],
+    ids=["form_grids", "run"],
+)
+def test_an_id_utf8_cannot_encode_exits_2_without_a_traceback(tmp_path, args):
+    path = tmp_path / "input.json"
+    path.write_text(dump_topology(builtin_testbed()).replace('"VS_1"', '"A\\ud800"', 1))
+    result = run_cli(*args, "--topology", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: config.sensors[0].id: 'A\\ud800' is not encodable as UTF-8\n"
+    assert result.stdout == ""
 
 
 def test_run_is_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from sensegrid import (
     dump_topology,
     load_topology,
 )
+from helpers import huge_integer_literal, sensor_entry_oracle
 
 
 def test_distance_pythagorean_triple():
@@ -557,3 +559,105 @@ def test_load_topology_accepts_entries_its_one_check_passes_over():
     text = _edited_testbed_text(lambda raw: raw["sensors"][1].update(z=float("nan")))
     with pytest.raises(ConfigError, match=r"^config\.sensors\[1\]\.z: must be finite$"):
         load_topology(text)
+
+
+def test_load_topology_finds_a_repeated_key_in_one_scan():
+    # one linear scan; rebuilding a dict for every prefix is quadratic and takes minutes
+    text = "{" + ", ".join(f'"k{i}": 0' for i in range(50_000)) + ', "k49999": 1}'
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"^config: repeated field 'k49999'$"):
+        load_topology(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_load_topology_names_the_first_repeated_key():
+    text = '{"a": 1, "b": 2, "c": 3, "b": 4, "a": 5}'
+    with pytest.raises(ConfigError, match=r"^config: repeated field 'b'$"):
+        load_topology(text)
+
+
+def test_load_topology_rejects_an_integer_literal_past_the_digit_limit():
+    text = dump_topology(_TESTBED).replace('"seed": 42', f'"seed": {huge_integer_literal()}', 1)
+    with pytest.raises(ConfigError, match=r"^config is not valid JSON: "):
+        load_topology(text)
+
+
+def test_load_topology_rejects_an_id_utf8_cannot_encode():
+    text = dump_topology(_TESTBED).replace('"id": "VS_2"', '"id": "A\\ud800"', 1)
+    message = "config.sensors[1].id: 'A\\ud800' is not encodable as UTF-8"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_topology(text)
+    assert message == sensor_entry_oracle(json.loads(text)["sensors"][1], "config.sensors[1]")
+    # any other non-ASCII id loads
+    text = dump_topology(_TESTBED).replace('"id": "VS_2"', '"id": "V\\u00e9\\u96ea"', 1)
+    assert load_topology(text).sensors[1].node_id == "V\u00e9\u96ea"
+
+
+@pytest.mark.parametrize("node_id", ["A\ud800", "\udfff", "\u00e9\udc80"])
+def test_sensor_node_rejects_an_id_utf8_cannot_encode(node_id):
+    message = f"sensor id {node_id!r} is not encodable as UTF-8"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SensorNode(node_id, SensorType.VISION, Position(0, 0, 0))
+
+
+def _mostly(valid, invalid):
+    """Draw from invalid about one time in four, so a generated entry often
+    passes its early fields and reaches its later ones."""
+    return st.integers(0, 3).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+_COORDINATES = _mostly(
+    st.floats(-1e6, 1e6) | st.integers(-(2**53), 2**53),
+    st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(2**53 + 1, 2**60),  # most of these no float holds
+        st.sampled_from([-(2**1024), 2**1024, 10**400]),
+        st.sampled_from([True, False, "1.0", None, [1.0], {}]),
+    ),
+)
+_ENTRY_VALUES = {
+    "id": _mostly(
+        st.text(alphabet="ab_\u00e9\u96ea", min_size=1, max_size=3),
+        st.sampled_from(["", 5, None, ["a"], 1.5]),
+    ),
+    "type": _mostly(
+        st.sampled_from([t.value for t in SensorType]),
+        st.sampled_from(["sonar", "", "Vision", 3, None, ["speed"]]),
+    ),
+    "x": _COORDINATES,
+    "y": _COORDINATES,
+    "z": _COORDINATES,
+}
+_EXTRA_KEYS = st.lists(st.sampled_from(["w", "ID", "X"]), min_size=1, max_size=2, unique=True)
+
+
+@st.composite
+def _sensor_entries(draw):
+    """A sensor entry that may be a non-object, lack or add fields in any
+    order, and hold any mix of valid and invalid values."""
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return draw(st.sampled_from([5, "VS_1", None, [], ["id"], 1.5]))
+    keys = list(_ENTRY_VALUES)
+    if shape == 1:
+        keys = draw(st.permutations(keys + draw(_EXTRA_KEYS)))
+    elif shape == 2:
+        missing = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        keys = [k for k in keys if k not in missing] + draw(st.just([]) | _EXTRA_KEYS)
+    return {k: draw(_ENTRY_VALUES.get(k, st.integers(0, 1))) for k in keys}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.integers(0, 2), _sensor_entries())
+def test_load_topology_checks_a_sensor_entry_as_its_oracle_does(index, entry):
+    raw = _testbed_json()
+    raw["sensors"][index] = entry  # generated ids never clash with the testbed's
+    path = f"config.sensors[{index}]"
+    expected = sensor_entry_oracle(entry, path)
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            load_topology(json.dumps(raw))
+        return
+    position = load_topology(json.dumps(raw)).sensors[index].position
+    assert (position.x, position.y, position.z) == expected
+    assert all(type(v) is float for v in (position.x, position.y, position.z))

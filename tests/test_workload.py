@@ -31,6 +31,7 @@ from sensegrid.cloud import (
     _check_payload_columns,
 )
 from sensegrid.workload import _reading_columns, validate_workload
+from helpers import huge_integer_literal
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +284,12 @@ def test_load_workload_rejects_repeated_fields():
     for field, text in cases.items():
         with pytest.raises(WorkloadError, match=rf"^workload: repeated field '{field}'$"):
             load_workload(text)
+
+
+def test_load_workload_rejects_an_integer_literal_past_the_digit_limit():
+    text = f'{{"queries": [{{"tick": {huge_integer_literal()}, "services": ["environment"]}}]}}'
+    with pytest.raises(WorkloadError, match="^workload is not valid JSON: "):
+        load_workload(text)
 
 
 def test_validate_workload_checks_ids_and_ticks(testbed):
