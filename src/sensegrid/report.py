@@ -8,7 +8,7 @@ a document's texts to one list, joined once.
 Every trace goes through the canonical writer as one dict. A trace from
 ``run_scenario`` holds one message per transmission, hundreds of thousands
 in a large run, so the writer builds no dict per message for it: it cuts
-the text it writes for placeholder messages, at the depth where they
+the text it writes for sentinel messages, at the depth where they
 stand, into the fixed texts between their values, and fills those from
 the (tick, block) items the strategy runners yielded, whose value types
 are fixed and whose blocks repeat. Any other trace, such as one built
@@ -21,9 +21,7 @@ the tests enforce it.
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Sequence
-from dataclasses import fields
 
 from . import TOOL_VERSION
 from .cloud import EstimationReport
@@ -31,12 +29,13 @@ from .errors import ConfigError
 from .grids import GridSet, form_grids
 from .simulate import (
     COST_METRICS,
-    ComputeEvent,
+    _EVENT_FIELDS,
+    _MESSAGE_FIELDS,
     CostComparison,
     CostReport,
-    Message,
     SimulationTrace,
     _Messages,
+    _entry_dicts,
 )
 from .topology import ScenarioConfig, _require_type, config_payload
 
@@ -70,7 +69,10 @@ def _write_canonical(value, out: list[str], indent: int) -> None:
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, int):
-        out.append(str(value))
+        try:
+            out.append(str(value))
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise TypeError("cannot canonicalize an int of that many digits") from None
     elif isinstance(value, float):
         out.append(_json_float(value))
     elif isinstance(value, str):
@@ -78,7 +80,7 @@ def _write_canonical(value, out: list[str], indent: int) -> None:
     elif value is None:
         out.append("null")
     elif type(value) is _Messages:  # a runner trace's messages
-        _write_messages(value._items, out, indent)
+        _write_messages(value, out, indent)
     else:
         raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
@@ -118,6 +120,7 @@ def cost_dict(report: CostReport) -> dict:
 def _require_costs(costs: dict[str, CostReport]) -> None:
     _require_type(costs, dict, "costs", ConfigError)
     for strategy, report in costs.items():
+        _require_type(strategy, str, f"costs key {strategy!r}", ConfigError)
         _require_type(report, CostReport, f"costs.{strategy}", ConfigError)
 
 
@@ -145,22 +148,14 @@ def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[d
     return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
 
 
-# The keys of a trace's messages and compute events. An API-built trace's
-# values are read by name, so any object with them will do.
-_MESSAGE_FIELDS = tuple(f.name for f in fields(Message))
-_EVENT_FIELDS = tuple(f.name for f in fields(ComputeEvent))
-
-
 def serialize_trace(trace: SimulationTrace) -> str:
     """The canonical JSON of a trace: strategy, messages, compute events,
     grids (null for flat) and the answered reports with their ticks."""
-    messages = trace.messages
+    messages, events = trace.messages, trace.compute_events
     if type(messages) is not _Messages:
-        messages = [{k: getattr(m, k) for k in _MESSAGE_FIELDS} for m in messages]
+        messages = _entry_dicts(messages, _MESSAGE_FIELDS, "trace.messages")
     return canonical_json({
-        "compute_events": [
-            {k: getattr(e, k) for k in _EVENT_FIELDS} for e in trace.compute_events
-        ],
+        "compute_events": _entry_dicts(events, _EVENT_FIELDS, "trace.compute_events"),
         "grids": gridset_list(trace.grid_set) if trace.grid_set is not None else None,
         "messages": messages,
         "reports": _answered_list(trace.answered),
@@ -168,25 +163,23 @@ def serialize_trace(trace: SimulationTrace) -> str:
     })
 
 
-def _write_messages(items, out: list[str], indent: int) -> None:
-    """Write a runner trace's messages from its (tick, block) items as
-    ``_write_canonical`` writes a list of their dicts at ``indent``.
+def _write_messages(messages: _Messages, out: list[str], indent: int) -> None:
+    """Write a runner trace's messages as ``_write_canonical`` writes a
+    list of their dicts at ``indent``.
 
-    The fixed texts are the writer's own: a list of two message dicts
-    whose values are placeholders is written once per call and cut at
-    them. Ticks are ints, a message's id is its row index, names are strs
-    and distances floats, so each distinct block's rows are joined once,
-    names and distances in place, around their ids and ticks, and an item
-    joins that with its ids and tick. Without rows, the list is empty.
+    The fixed texts are the writer's own: two message dicts whose values
+    are all -1 are written once per call and cut at "-1", which no key or
+    padding holds, and each text before a value ends with its key. Ticks
+    are ints, a message's id is its row index, names are strs and distances
+    floats, so each distinct block's rows are joined once, names and
+    distances in place, around their ids and ticks, and an item joins that
+    with its tick and the ids its row offsets give. No rows, no messages.
     """
-    placeholders = {key: "\0" + key for key in _MESSAGE_FIELDS}
-    slots = {json.dumps(text): key for key, text in placeholders.items()}
     layout = []
-    _write_canonical([placeholders] * 2, layout, indent)
-    # fixed texts alternate with placeholders, one message after the other
-    parts = re.split("(" + "|".join(map(re.escape, slots)) + ")", "".join(layout))
-    keys = [slots[slot] for slot in parts[1 : len(parts) // 2 : 2]]
-    head, *within, between = parts[: len(parts) // 2 + 1 : 2]
+    _write_canonical([dict.fromkeys(_MESSAGE_FIELDS, -1)] * 2, layout, indent)
+    parts = "".join(layout).split("-1")  # fixed texts, one message after the other
+    head, *within, between = parts[: len(parts) // 2 + 1]
+    keys = [text.split('"')[-2] for text in (head, *within)]
     # an item's text alternates fixed texts and gaps, a row's id and tick
     id_at = 1 + 2 * (keys.index("msg_id") > keys.index("tick"))
 
@@ -205,19 +198,17 @@ def _write_messages(items, out: list[str], indent: int) -> None:
         return pieces
 
     blocks = {}  # id(block) -> its cut rows; the items keep each block alive
-    msg_id = 0
-    for tick, block in items:
+    for (tick, block), end in zip(messages._items, messages._ends):
         n = len(block.rows)
         if n:
             if id(block) not in blocks:
                 blocks[id(block)] = cut(block.rows)
             text = [str(tick)] * (4 * n + 1)
             text[::2] = blocks[id(block)]
-            text[id_at::4] = map(str, range(msg_id, msg_id + n))
-            out.append(between if msg_id else head)
+            text[id_at::4] = map(str, range(end - n, end))
+            out.append(between if end > n else head)
             out.append("".join(text))
-            msg_id += n
-    out.append(parts[-1] if msg_id else "[]")
+    out.append(parts[-1] if messages else "[]")
 
 
 def build_run_report(

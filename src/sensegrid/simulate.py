@@ -94,6 +94,7 @@ from .topology import (
     SensorNode,
     SensorType,
     _require_count,
+    _require_finite,
     _require_type,
     distance,
 )
@@ -128,6 +129,24 @@ class ComputeEvent:
     tick: int
     site: str
     op_count: int = 1
+
+
+# The fields of a trace's messages and compute events. An API-built trace's
+# entries are read by name, so any object with them will do.
+_MESSAGE_FIELDS = tuple(f.name for f in fields(Message))
+_EVENT_FIELDS = tuple(f.name for f in fields(ComputeEvent))
+
+
+def _entry_dicts(entries: Iterable, names: tuple[str, ...], path: str) -> list[dict]:
+    """An API-built trace's entries as dicts of their fields `names`; an
+    entry without one raises a ConfigError naming the entry and the field."""
+    dicts = []
+    for i, entry in enumerate(entries):
+        for name in names:
+            if not hasattr(entry, name):
+                raise ConfigError(f"{path}[{i}].{name}: missing field")
+        dicts.append({name: getattr(entry, name) for name in names})
+    return dicts
 
 
 class _Block(NamedTuple):
@@ -232,6 +251,17 @@ class CostReport:
     cloud_op_count: int
     node_op_count: int
     monetized_total: float
+
+    def __post_init__(self) -> None:
+        _require_type(self.strategy, str, "cost_report.strategy", ConfigError)
+        # counts are priced in floats, so each must be one a float can hold;
+        # a float total may be inf or NaN
+        for name in COST_METRICS:
+            value = getattr(self, name)
+            if name.endswith("_count"):
+                _require_count(value, f"cost_report.{name}", ConfigError)
+            if not isinstance(value, float):
+                _require_finite(value, f"cost_report.{name}")
 
 
 @dataclass(frozen=True)
@@ -564,7 +594,9 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
 
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
-    """Sum a trace into its cost components plus the monetized total."""
+    """Sum a trace into its cost components plus the monetized total. An
+    entry of an API-built trace that cannot be priced raises a ConfigError
+    naming it."""
     _require_type(trace, SimulationTrace, "trace", ConfigError)
     if not isinstance(params, CostParams):
         raise ConfigError("cost_params: expected a CostParams")
@@ -572,8 +604,19 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     if type(messages) is _Messages:
         items = messages._items
     else:  # an API-built trace is priced as one block of its messages
-        rows = ((m.src, m.dst, m.medium, m.purpose, m.wireless_distance) for m in messages)
+        rows = _entry_dicts(messages, _MESSAGE_FIELDS[2:], "trace.messages")
+        rows = [tuple(row.values()) for row in rows]  # a row: a message after id and tick
+        for i, (_, _, medium, _, hop) in enumerate(rows):
+            if medium == WIRELESS and not isinstance(hop, float):
+                _require_finite(hop, f"trace.messages[{i}].wireless_distance")
         items = ((None, _block(rows)),)
+    # an event after its tick: its site, and its op_count, which is priced in floats
+    events = _entry_dicts(trace.compute_events, _EVENT_FIELDS[1:], "trace.compute_events")
+    ops = 0
+    for i, event in enumerate(events):
+        _require_count(event["op_count"], f"trace.compute_events[{i}].op_count", ConfigError)
+        ops += event["op_count"]
+    _require_finite(ops, "trace.compute_events op_count total")
     return _sum_costs(trace.strategy, items, trace.compute_events, params)
 
 

@@ -77,6 +77,12 @@ def _require_positive(value: float, name: str) -> None:
         raise ConfigError(f"{name}: must be positive")
 
 
+def _finite_floats(x: object, y: object, z: object) -> bool:
+    """Whether x, y and z are floats with a finite sum, so each is finite:
+    the one test that lets a check of a point skip its per-axis checks."""
+    return type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)
+
+
 def _require_override(
     sensor_type: SensorType, node_id: object, by_id: dict, prefix: str
 ) -> None:
@@ -110,8 +116,9 @@ class Position:
     z: float
 
     def __post_init__(self) -> None:
-        for axis in ("x", "y", "z"):
-            _require_finite(getattr(self, axis), f"position.{axis}")
+        if not _finite_floats(self.x, self.y, self.z):
+            for axis in ("x", "y", "z"):
+                _require_finite(getattr(self, axis), f"position.{axis}")
 
 
 @dataclass(frozen=True)
@@ -275,8 +282,7 @@ def _check_sensor(entry: object, path: str) -> None:
         raise ConfigError(
             f"{path}.type: expected one of {sorted(_TYPE_BY_NAME)}, got {type_name!r}"
         )
-    x, y, z = entry["x"], entry["y"], entry["z"]
-    if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
+    if not _finite_floats(entry["x"], entry["y"], entry["z"]):
         for axis in ("x", "y", "z"):
             _require_number(entry, axis, path)
 

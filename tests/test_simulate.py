@@ -27,6 +27,7 @@ from sensegrid import (
     CongestionThresholds,
     CostComparison,
     CostParams,
+    CostReport,
     FLAT,
     Message,
     Position,
@@ -35,6 +36,7 @@ from sensegrid import (
     ReadingRanges,
     RoutingError,
     ScenarioConfig,
+    SenseGridError,
     SensorNode,
     SensorType,
     Service,
@@ -63,6 +65,7 @@ from helpers import (
     assert_same_text,
     flat_answers_oracle,
     flat_message_count,
+    huge_integer_literal,
     qcps_message_count,
     random_instance,
     resum_costs,
@@ -1701,13 +1704,15 @@ def test_run_report_forms_the_grids_a_flat_trace_lacks(testbed):
         (lambda cfg: report.build_run_report(cfg, None, {}, [5]),
          "answered[0]: expected a tuple, got int"),
         (lambda cfg: report.cost_csv({"x": None}), "costs.x: expected a CostReport, got NoneType"),
+        (lambda cfg: report.cost_csv({None: CostReport(**_VALID_COSTS)}),
+         "costs key None: expected a str, got NoneType"),
         (lambda cfg: report.comparison_csv(None),
          "comparison: expected a CostComparison, got NoneType"),
         (lambda cfg: report.comparison_table(None),
          "comparison: expected a CostComparison, got NoneType"),
     ],
     ids=["run_report_cfg", "run_report_costs", "run_report_answered", "cost_csv",
-         "comparison_csv", "comparison_table"],
+         "cost_csv_key", "comparison_csv", "comparison_table"],
 )
 def test_report_builders_name_the_argument_at_fault(testbed, render, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -1722,6 +1727,167 @@ def test_answered_entries_must_be_tick_report_pairs(testbed):
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             report.build_run_report(testbed, None, {}, answered)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"messages": [_sent(distance="x")]},
+         "trace.messages[0].wireless_distance: expected a number"),
+        ({"messages": [_sent(distance=None)]},
+         "trace.messages[0].wireless_distance: expected a number"),
+        ({"messages": [_sent(distance=10**400)]},
+         "trace.messages[0].wireless_distance: too large for a float"),
+        ({"compute_events": [ComputeEvent(0, CLOUD_SITE, "x")]},
+         "trace.compute_events[0].op_count: expected a non-negative integer"),
+        ({"compute_events": [ComputeEvent(0, CLOUD_SITE, 10**308)] * 2},
+         "trace.compute_events op_count total: too large for a float"),
+        ({"messages": [_sent(), 1]}, "trace.messages[1].src: missing field"),
+        ({"compute_events": [None]}, "trace.compute_events[0].site: missing field"),
+    ],
+    ids=["str_distance", "none_distance", "huge_distance", "str_op_count", "huge_op_counts",
+         "int_message", "none_event"],
+)
+def test_cost_of_names_the_malformed_entry_of_an_api_trace(fields, message):
+    trace = dataclasses.replace(_api_trace(), **fields)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cost_of(trace, CostParams())
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"messages": [None]}, "trace.messages[0].msg_id: missing field"),
+        ({"messages": [_sent(), 1]}, "trace.messages[1].msg_id: missing field"),
+        ({"compute_events": [None]}, "trace.compute_events[0].tick: missing field"),
+    ],
+    ids=["none_message", "int_message", "none_event"],
+)
+def test_serialize_trace_names_the_entry_that_lacks_a_field(fields, message):
+    trace = dataclasses.replace(_api_trace(), **fields)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        serialize_trace(trace)
+
+
+def test_cost_of_prices_an_inf_distance_and_skips_an_infrastructure_one():
+    trace = _api_trace(
+        _sent(distance=float("inf")),
+        Message(1, 0, "A", CLOUD_SITE, INFRASTRUCTURE, "report", "unread"),
+    )
+    costs = cost_of(trace, CostParams())
+    assert costs.total_wireless_distance == costs.monetized_total == float("inf")
+    assert (costs.wireless_message_count, costs.infra_message_count) == (1, 1)
+
+
+_VALID_COSTS = {
+    "strategy": QCPS,
+    "total_wireless_distance": 1.5,
+    "wireless_message_count": 1,
+    "infra_message_count": 2,
+    "cloud_op_count": 3,
+    "node_op_count": 0,
+    "monetized_total": 7.5,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("strategy", None, "expected a str, got NoneType"),
+        ("total_wireless_distance", "abc", "expected a number"),
+        ("total_wireless_distance", None, "expected a number"),
+        ("monetized_total", True, "expected a number"),
+        ("monetized_total", 10**400, "too large for a float"),
+        ("wireless_message_count", 1.0, "expected a non-negative integer"),
+        ("cloud_op_count", -1, "expected a non-negative integer"),
+        ("node_op_count", False, "expected a non-negative integer"),
+        ("infra_message_count", 10**400, "too large for a float"),
+    ],
+    ids=["strategy", "str_total", "none_total", "bool_total", "huge_total", "float_count",
+         "negative_count", "bool_count", "huge_count"],
+)
+def test_cost_report_names_a_field_of_the_wrong_kind(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'cost_report.{field}: {message}')}$"):
+        CostReport(**{**_VALID_COSTS, field: value})
+
+
+def test_cost_report_accepts_int_and_non_finite_totals():
+    for total, text in ((3, "3"), (float("inf"), "inf"), (float("nan"), "nan")):
+        costs = CostReport(**{**_VALID_COSTS, "total_wireless_distance": total})
+        assert report.cost_csv({QCPS: costs}).splitlines()[1].split(",")[1] == text
+
+
+_COST_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.lists(st.integers(), max_size=2),
+    # canonical_json cannot write these: an int past the int-to-str digit
+    # limit (where the interpreter has one), a dict with a non-str key, a set
+    st.just(10**5000),
+    st.just({1: "a non-str key"}),
+    st.just(frozenset()),
+)
+
+
+def _entries_from_junk(kind, valid: dict):
+    """Lists of `kind` built from valid fields, at most one of them junk, or
+    a list of one junk entry; a plain `|` of the two would draw junk nearly
+    every time, since each of junk's branches weighs as much as `kind`."""
+    fields = st.dictionaries(st.sampled_from(sorted(valid)), _COST_JUNK, max_size=1)
+    built = fields.map(lambda junk: kind(**{**valid, **junk}))
+    return st.lists(built, max_size=3) | st.lists(_COST_JUNK, min_size=1, max_size=1)
+
+
+_JUNK_MESSAGES = _entries_from_junk(Message, dataclasses.asdict(_sent()))
+_JUNK_EVENTS = _entries_from_junk(ComputeEvent, {"tick": 0, "site": CLOUD_SITE, "op_count": 2})
+
+
+def _returns_or_raises_a_sensegrid_error(call, *args, writes=False):
+    """call(*args), or None if it raised a SenseGridError; a call that
+    writes canonical JSON may also raise its TypeError for a value the
+    writer cannot write."""
+    try:
+        return call(*args)
+    except SenseGridError:
+        return None
+    except TypeError as exc:
+        if writes and str(exc).startswith("cannot canonicalize"):
+            return None
+        raise
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.data())
+def test_cost_layer_inputs_built_from_junk_return_or_raise_a_sensegrid_error(data):
+    trace = SimulationTrace(QCPS, data.draw(_JUNK_MESSAGES), data.draw(_JUNK_EVENTS), None, ())
+    _returns_or_raises_a_sensegrid_error(serialize_trace, trace, writes=True)
+    priced = _returns_or_raises_a_sensegrid_error(cost_of, trace, CostParams())
+    names = st.sampled_from(sorted(_VALID_COSTS))
+    reports = [priced] + [
+        _returns_or_raises_a_sensegrid_error(
+            lambda junk: CostReport(**{**_VALID_COSTS, **junk}),
+            data.draw(st.dictionaries(names, _COST_JUNK, max_size=2)),
+        )
+        for _ in range(2)
+    ]
+    reports = [r for r in reports if r is not None]
+    keys = data.draw(st.lists(st.text(max_size=2) | st.none() | st.integers(), max_size=3))
+    _returns_or_raises_a_sensegrid_error(report.cost_csv, dict(zip(keys, reports)))
+    if len(reports) >= 2:
+        comparison = CostComparison(reports[-2], reports[-1])
+        report.comparison_table(comparison)
+        report.comparison_csv(comparison)
+        report.canonical_json(report.comparison_dict(comparison))
+
+
+def test_canonical_json_rejects_an_int_past_the_digit_limit():
+    digits = len(huge_integer_literal())  # skips where there is no limit
+    with pytest.raises(TypeError, match="^cannot canonicalize an int of that many digits$"):
+        report.canonical_json({"count": [10**digits]})
 
 
 def test_flat_rejects_a_window_longer_than_a_sequence_can_be(testbed):
