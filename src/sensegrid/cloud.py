@@ -290,10 +290,31 @@ SectionResult = (
 )
 
 
+# the result type of each service's section of a report
+_SECTION_TYPE = {
+    Service.ROAD_CONDITION: RoadConditionResult,
+    Service.VELOCITY_TRAVEL_TIME: VelocityTravelTimeResult,
+    Service.ENVIRONMENT: EnvironmentResult,
+    Service.CONGESTION: CongestionResult,
+}
+
+
 @dataclass(frozen=True)
 class EstimationReport:
+    """One query's answer: a section per service, of that service's own
+    result type. The sections are a dict, so they stay out of the hash."""
+
     query_id: str
-    sections: dict[Service, SectionResult] = field(default_factory=dict)
+    sections: dict[Service, SectionResult] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.query_id, str) or not self.query_id:
+            raise ConfigError("report.query_id: expected a non-empty string")
+        prefix = f"report {self.query_id}: sections"
+        _require_type(self.sections, dict, prefix, ConfigError)
+        for service, section in self.sections.items():
+            _require_type(service, Service, prefix + " key", ConfigError)
+            _require_type(section, _SECTION_TYPE[service], f"{prefix}.{service.value}", ConfigError)
 
 
 # ---------------------------------------------------------------------------

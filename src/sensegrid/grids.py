@@ -23,7 +23,8 @@ _TOO_FAR = "sensors: positions too far apart; their distances overflow a float"
 
 @dataclass(frozen=True)
 class Grid:
-    """A type-homogeneous cluster; grid_id is its lowest member id."""
+    """A type-homogeneous cluster: members are distinct ids in sorted order,
+    grid_id is the first of them, and the coordinator is one of them."""
 
     grid_id: str
     sensor_type: SensorType
@@ -32,12 +33,23 @@ class Grid:
     election: str = MEDOID
 
     def __post_init__(self) -> None:
+        _require_type(self.grid_id, str, "grid.grid_id", ConfigError)
+        prefix = f"grid {self.grid_id}: "
+        _require_type(self.sensor_type, SensorType, prefix + "sensor_type", ConfigError)
+        _require_type(self.members, tuple, prefix + "members", ConfigError)
         if not self.members:
             raise ConfigError("grid members must be non-empty")
+        if not all(isinstance(m, str) for m in self.members):
+            raise ConfigError(prefix + "members: expected strs")
+        if self.members != tuple(sorted(set(self.members))):
+            raise ConfigError(prefix + "members: expected distinct ids in sorted order")
+        if self.grid_id != self.members[0]:
+            raise ConfigError(prefix + f"grid_id: expected its first member {self.members[0]!r}")
+        _require_type(self.coordinator, str, prefix + "coordinator", ConfigError)
         if self.coordinator not in self.members:
-            raise ConfigError(
-                f"grid {self.grid_id}: coordinator {self.coordinator!r} is not a member"
-            )
+            raise ConfigError(prefix + f"coordinator {self.coordinator!r} is not a member")
+        if self.election not in (MEDOID, OVERRIDDEN):
+            raise ConfigError(prefix + f"election: expected {MEDOID!r} or {OVERRIDDEN!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +60,11 @@ class GridSet:
     )
 
     def __post_init__(self) -> None:
-        for grid in self.grids:
+        _require_type(self.grids, tuple, "grid_set.grids", ConfigError)
+        for i, grid in enumerate(self.grids):
+            if not isinstance(grid, Grid):
+                kind = type(grid).__name__
+                raise ConfigError(f"grid_set.grids[{i}]: expected a Grid, got {kind}")
             for member in grid.members:
                 if member in self._grid_by_member:
                     raise ConfigError(f"node {member!r} appears in more than one grid")
@@ -165,19 +181,27 @@ def elect_coordinator_ids(
 
     An override wins outright but must name a member.
     """
+    _require_type(members, tuple, "members", ConfigError)
+    _require_type(sensors_by_id, dict, "sensors_by_id", ConfigError)
     if not members:
         raise ConfigError("cannot elect a coordinator from an empty member set")
+    for i, m in enumerate(members):
+        if not isinstance(m, str):
+            raise ConfigError(f"members[{i}]: expected a str, got {type(m).__name__}")
+        if m not in sensors_by_id:
+            raise ConfigError(f"grid member {m!r} missing from the sensor index")
+        node = sensors_by_id[m]
+        if not isinstance(node, SensorNode):
+            kind = type(node).__name__
+            raise ConfigError(f"sensors_by_id[{m!r}]: expected a SensorNode, got {kind}")
     if override is not None:
         if override not in members:
             raise OverrideError(
                 f"override {override!r} is not a member of grid {min(members)!r}"
             )
         return override
-    for m in members:
-        if m not in sensors_by_id:
-            raise ConfigError(f"grid member {m!r} missing from the sensor index")
     ordered = sorted(members)
-    best_id = ""
+    best_id = None
     best_sum = float("inf")
     for candidate in ordered:
         total = 0.0
@@ -188,4 +212,6 @@ def elect_coordinator_ids(
         if total < best_sum:
             best_sum = total
             best_id = candidate
+    if best_id is None:  # every sum overflowed, so none is below inf
+        raise ConfigError(_TOO_FAR)
     return best_id

@@ -37,7 +37,7 @@ from .simulate import (
     _Messages,
     _entry_dicts,
 )
-from .topology import ScenarioConfig, _require_type, config_payload
+from .topology import ScenarioConfig, _require_count, _require_type, config_payload
 
 
 def _write_canonical(value, out: list[str], indent: int) -> None:
@@ -144,6 +144,7 @@ def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[d
         _require_type(entry, tuple, f"answered[{i}]", ConfigError)
         if len(entry) != 2:
             raise ConfigError(f"answered[{i}]: expected a (tick, report) pair")
+        _require_count(entry[0], f"answered[{i}][0]", ConfigError)
         _require_type(entry[1], EstimationReport, f"answered[{i}][1]", ConfigError)
     return [dict(estimation_report_dict(r), tick=tick) for tick, r in answered]
 

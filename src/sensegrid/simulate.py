@@ -21,9 +21,14 @@ transmission rows (src, dst, medium, purpose, wireless distance), all sent
 at the item's tick. Rows repeat, so blocks are built once and shared: qcps
 builds one report block per run and yields it every tick and one query
 block that every query shares, flat one polling block per query and yields
-it once per window tick, and each request has a small block of its own. A
-run's compute events fill as its items are consumed. Traces are a pure
-function of (config, workload, strategy).
+it once per window tick, and each request has a small block of its own.
+Both walk one schedule, the workload's events sorted by tick, and a run's
+compute events come from that schedule alone, before any block is built:
+one computation operation per requested service of a query, at the cloud
+under qcps and at the gateway under flat, and one per request, at the
+cloud under qcps and at its target under flat. A zero-tick run sends no
+report but still serves its tick-0 events. Traces are a pure function of
+(config, workload, strategy).
 
 `_run` hands out that stream and is the one place that checks the strategy,
 the config and the workload; everything else is a pass over it.
@@ -300,7 +305,8 @@ def route_sensor_request(
     _require_type(sensors_by_id, dict, "sensors_by_id", RoutingError)
     _require_count(tick, "tick", RoutingError)
     _require_count(first_msg_id, "first_msg_id", RoutingError)
-    for node_id in (requester, target):
+    for name, node_id in (("requester", requester), ("target", target)):
+        _require_type(node_id, str, name, RoutingError)
         if node_id not in sensors_by_id:
             raise RoutingError(f"unknown sensor {node_id!r}")
         try:
@@ -308,6 +314,11 @@ def route_sensor_request(
         except ConfigError as exc:
             raise RoutingError(str(exc)) from None
     coordinator = grids.coordinator_of(requester)
+    if coordinator not in sensors_by_id:
+        raise RoutingError(f"unknown coordinator {coordinator!r}")
+    for node_id in (requester, coordinator):
+        node = sensors_by_id[node_id]
+        _require_type(node, SensorNode, f"sensors_by_id[{node_id!r}]", RoutingError)
     hop = distance(
         sensors_by_id[requester].position, sensors_by_id[coordinator].position
     )
@@ -344,16 +355,6 @@ _QUERY_ROWS = (
     (USER_SITE, CLOUD_SITE, INFRASTRUCTURE, "query", 0.0),
     (CLOUD_SITE, USER_SITE, INFRASTRUCTURE, "answer", 0.0),
 )
-
-
-def _events_by_tick(workload: Workload):
-    queries: dict[int, list[CentricQuery]] = {}
-    for tick, query in workload.queries:
-        queries.setdefault(tick, []).append(query)
-    requests: dict[int, list[tuple[str, str]]] = {}
-    for tick, requester, target in workload.requests:
-        requests.setdefault(tick, []).append((requester, target))
-    return queries, requests
 
 
 _FORK_MIN_READINGS = 10_000  # forking and reaping costs about 3 ms, some 500 readings
@@ -482,8 +483,12 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
 
     The items are a generator of (tick, block) in emission order; each row
     of a block is (src, dst, medium, purpose, distance), and infrastructure
-    rows carry 0.0. The event list fills as the items are consumed, so read
-    it only after the last item.
+    rows carry 0.0. Both runners walk one schedule: the workload's
+    (tick, query) and (tick, requester, target) entries stably sorted by
+    tick, so queries come before requests at a tick, each in input order.
+    The compute events are a list complete on return, one per requested
+    service of a query and one per request, at the sites the module
+    docstring names.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
@@ -491,10 +496,17 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
     _require_type(workload, Workload, "workload", WorkloadError)
     _check_extent(cfg.sensors)
     validate_workload(workload, cfg)
-    events: list[ComputeEvent] = []
+    schedule = sorted([*workload.queries, *workload.requests], key=operator.itemgetter(0))
+    events = []
+    for tick, *event in schedule:
+        if len(event) == 1:  # a query; a request is (requester, target)
+            site = CLOUD_SITE if strategy == QCPS else GATEWAY_SITE
+            events.extend(ComputeEvent(tick, site) for _ in event[0].requested_services)
+        else:
+            events.append(ComputeEvent(tick, CLOUD_SITE if strategy == QCPS else event[1]))
     if strategy == QCPS:
         grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
-        return grids, _qcps_legs(cfg, workload, grids, events), events
+        return grids, _qcps_legs(cfg, schedule, grids), events
     for _, query in workload.queries:  # flat repeats a query's block per window tick
         start, end = query.window
         if end - start + 1 > sys.maxsize:
@@ -502,7 +514,7 @@ def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
                 f"query {query.query_id}: window {query.window} spans more than "
                 f"{sys.maxsize} ticks"
             )
-    return None, _flat_legs(cfg, workload, events), events
+    return None, _flat_legs(cfg, schedule), events
 
 
 def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
@@ -527,9 +539,7 @@ def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
         raise ConfigError(_TOO_FAR)
 
 
-def _qcps_legs(
-    cfg: ScenarioConfig, workload: Workload, grids: GridSet, events: list[ComputeEvent]
-):
+def _qcps_legs(cfg: ScenarioConfig, schedule: list[tuple], grids: GridSet):
     by_id = cfg.by_id()
     uplink = {}  # node id -> (its coordinator, radio distance to it)
     reports = []  # every sensor's report and its coordinator's forward
@@ -541,25 +551,22 @@ def _qcps_legs(
         reports.append((coordinator, CLOUD_SITE, INFRASTRUCTURE, "report", 0.0))
     report_block = _block(reports)
     query_block = _block(_QUERY_ROWS)
-    queries_at, requests_at = _events_by_tick(workload)
-
-    # a zero-tick run still serves its tick-0 events, and sends no report
-    for tick in range(max(cfg.duration_ticks, 1)):
-        if tick < cfg.duration_ticks:
-            yield tick, report_block
-        for query in queries_at.get(tick, ()):
-            events.extend(ComputeEvent(tick, CLOUD_SITE) for _ in query.requested_services)
+    reported = 0  # every tick below this has sent its reports
+    for tick, *event in schedule:
+        yield from zip(range(reported, min(tick + 1, cfg.duration_ticks)), repeat(report_block))
+        reported = tick + 1
+        if len(event) == 1:
             yield tick, query_block
-        for requester, _target in requests_at.get(tick, ()):
-            yield tick, _block(_request_legs(requester, *uplink[requester]))
-            events.append(ComputeEvent(tick, CLOUD_SITE))
+        else:
+            yield tick, _block(_request_legs(event[0], *uplink[event[0]]))
+    yield from zip(range(reported, cfg.duration_ticks), repeat(report_block))
 
 
 def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
     return Position(*(_mean([getattr(s.position, axis) for s in sensors]) for axis in "xyz"))
 
 
-def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEvent]):
+def _flat_legs(cfg: ScenarioConfig, schedule: list[tuple]):
     by_id = cfg.by_id()
     gateway_distance: dict[str, float] = {}
     if cfg.sensors:
@@ -567,10 +574,9 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
         gateway_distance = {
             s.node_id: distance(gateway, s.position) for s in cfg.sensors
         }
-    queries_at, requests_at = _events_by_tick(workload)
-
-    for tick in range(max(cfg.duration_ticks, 1)):
-        for query in queries_at.get(tick, ()):
+    for tick, *event in schedule:
+        if len(event) == 1:
+            query = event[0]
             relevant_types = [
                 SERVICE_SENSOR_TYPE[service] for service in query.requested_services
             ]
@@ -583,14 +589,13 @@ def _flat_legs(cfg: ScenarioConfig, workload: Workload, events: list[ComputeEven
             start, end = query.window
             # the same round trips once per tick of the window
             yield from repeat((tick, _block(polling)), end - start + 1)
-            events.extend(ComputeEvent(tick, GATEWAY_SITE) for _ in query.requested_services)
-        for requester, target in requests_at.get(tick, ()):
+        else:
+            requester, target = event
             hop = distance(by_id[requester].position, by_id[target].position)
             yield tick, _block((
                 (requester, target, WIRELESS, "request", hop),
                 (target, requester, WIRELESS, "response", hop),
             ))
-            events.append(ComputeEvent(tick, target))
 
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:

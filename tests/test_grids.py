@@ -9,11 +9,13 @@ from sensegrid import (
     GridSet,
     OverrideError,
     Position,
+    RoutingError,
     SensorNode,
     SensorType,
     builtin_testbed,
     distance,
     form_grids,
+    route_sensor_request,
 )
 from sensegrid.grids import elect_coordinator_ids
 
@@ -271,6 +273,10 @@ def test_grid_sets_reject_malformed_grids():
         GridSet((pair, Grid("B", SensorType.SPEED, ("B",), "B")))
     with pytest.raises(ConfigError, match="^node 'Z' is not covered by this grid set$"):
         GridSet((pair,)).grid_for("Z")
+    with pytest.raises(ConfigError, match=r"^grid_set.grids\[0\]: expected a Grid, got str$"):
+        GridSet(("x",))
+    with pytest.raises(ConfigError, match="^grid_set.grids: expected a tuple, got list$"):
+        GridSet([pair])
 
 
 def test_election_rejects_no_members_and_unindexed_members():
@@ -305,3 +311,68 @@ _TESTBED_SENSORS = builtin_testbed().sensors
 def test_form_grids_rejects_whole_arguments_of_the_wrong_type(sensors, overrides, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         form_grids(sensors, 100.0, overrides)
+
+
+def test_election_raises_when_every_sum_overflows():
+    # each distance is inf, so no sum is below the starting inf
+    nodes = {
+        "A": SensorNode("A", SensorType.VISION, Position(-1e308, 0, 0)),
+        "B": SensorNode("B", SensorType.VISION, Position(1e308, 0, 0)),
+    }
+    with pytest.raises(ConfigError, match=r"^sensors: positions too far apart; "):
+        elect_coordinator_ids(("A", "B"), nodes)
+
+
+def test_election_rejects_members_and_index_entries_of_the_wrong_kind():
+    # a str's characters are not its members, even where they name sensors
+    nodes = {i: SensorNode(i, SensorType.VISION, Position(0, 0, 0)) for i in "AB"}
+    with pytest.raises(ConfigError, match="^members: expected a tuple, got str$"):
+        elect_coordinator_ids("AB", nodes)
+    with pytest.raises(ConfigError, match="^sensors_by_id: expected a dict, got str$"):
+        elect_coordinator_ids(("A",), "AB")
+    with pytest.raises(ConfigError, match=r"^members\[1\]: expected a str, got list$"):
+        elect_coordinator_ids(("A", ["B"]), nodes)
+    # checked before an override, whose error names the grid by its least member
+    with pytest.raises(ConfigError, match=r"^members\[1\]: expected a str, got int$"):
+        elect_coordinator_ids(("A", 7), nodes, override="Z")
+    not_a_node = r"^sensors_by_id\['A'\]: expected a SensorNode, got str$"
+    with pytest.raises(ConfigError, match=not_a_node):
+        elect_coordinator_ids(("A",), {"A": "x"})
+
+
+def test_routing_rejects_ends_and_index_entries_of_the_wrong_kind():
+    nodes = {i: SensorNode(i, SensorType.VISION, Position(0, 0, 0)) for i in "AB"}
+    grids = GridSet((Grid("A", SensorType.VISION, ("A", "B"), "B"),))
+    with pytest.raises(RoutingError, match="^requester: expected a str, got list$"):
+        route_sensor_request(["A"], "A", grids, nodes)
+    with pytest.raises(RoutingError, match="^target: expected a str, got int$"):
+        route_sensor_request("A", 7, grids, nodes)
+    with pytest.raises(RoutingError, match="^unknown coordinator 'B'$"):
+        route_sensor_request("A", "A", grids, {"A": nodes["A"]})
+    not_a_node = r"^sensors_by_id\['B'\]: expected a SensorNode, got str$"
+    with pytest.raises(RoutingError, match=not_a_node):
+        route_sensor_request("A", "A", grids, {**nodes, "B": "x"})
+
+
+_VISION = SensorType.VISION
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (("A", "vision", ("A",), "A"), "grid A: sensor_type: expected a SensorType, got str"),
+        ((7, _VISION, (7,), 7), "grid.grid_id: expected a str, got int"),
+        (("A", _VISION, ("A",), "A", 5), "grid A: election: expected 'medoid' or 'overridden'"),
+        (("Z", _VISION, ("A",), "A"), "grid Z: grid_id: expected its first member 'A'"),
+        (("A", _VISION, ("A", 7), "A"), "grid A: members: expected strs"),
+        (("B", _VISION, ("B", "A"), "A"), "grid B: members: expected distinct ids in sorted order"),
+        (("A", _VISION, ("A", "A"), "A"), "grid A: members: expected distinct ids in sorted order"),
+        (("A", _VISION, ["A"], "A"), "grid A: members: expected a tuple, got list"),
+        (("A", _VISION, ("A",), None), "grid A: coordinator: expected a str, got NoneType"),
+    ],
+    ids=["str_type", "int_ids", "int_election", "id_not_first", "int_member", "unsorted",
+         "repeated", "list_members", "no_coordinator"],
+)
+def test_grid_names_a_field_of_the_wrong_kind(grid, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Grid(*grid)

@@ -29,6 +29,8 @@ from sensegrid import (
     CostParams,
     CostReport,
     FLAT,
+    Grid,
+    GridSet,
     Message,
     Position,
     QCPS,
@@ -58,7 +60,8 @@ from sensegrid import (
 )
 from sensegrid import cli, report, simulate
 from sensegrid import workload as workload_module
-from sensegrid.cloud import SERVICE_SENSOR_TYPE
+from sensegrid.cloud import SERVICE_SENSOR_TYPE, EstimationReport, RoadConditionResult
+from sensegrid.grids import elect_coordinator_ids
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
 from helpers import (
@@ -1720,13 +1723,48 @@ def test_report_builders_name_the_argument_at_fault(testbed, render, message):
 
 
 def test_answered_entries_must_be_tick_report_pairs(testbed):
+    answer = EstimationReport("Q1", {})
     for answered, message in (
         (None, "answered: expected a Sequence, got NoneType"),
         ([(1,)], "answered[0]: expected a (tick, report) pair"),
         (((1, "report"),), "answered[0][1]: expected a EstimationReport, got str"),
+        ((("x", answer),), "answered[0][0]: expected a non-negative integer"),
+        (((-1, answer),), "answered[0][0]: expected a non-negative integer"),
+        (((True, answer),), "answered[0][0]: expected a non-negative integer"),
+        ([(0, answer), (1.0, answer)], "answered[1][0]: expected a non-negative integer"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             report.build_run_report(testbed, None, {}, answered)
+
+
+_ROAD = RoadConditionResult(True, 0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "query_id, sections, message",
+    [
+        ("Q1", None, "report Q1: sections: expected a dict, got NoneType"),
+        ("Q1", {"x": 1}, "report Q1: sections key: expected a Service, got str"),
+        ("Q1", {Service.ENVIRONMENT: 1},
+         "report Q1: sections.environment: expected a EnvironmentResult, got int"),
+        ("Q1", {Service.ENVIRONMENT: _ROAD},
+         "report Q1: sections.environment: expected a EnvironmentResult, got RoadConditionResult"),
+        (5, {}, "report.query_id: expected a non-empty string"),
+        ("", {}, "report.query_id: expected a non-empty string"),
+    ],
+    ids=["no_sections", "str_key", "int_section", "other_services_section", "int_id", "empty_id"],
+)
+def test_estimation_report_names_a_field_of_the_wrong_kind(query_id, sections, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        EstimationReport(query_id, sections)
+
+
+def test_a_trace_with_answers_hashes(testbed):
+    trace = run_scenario(testbed, generate_workload(testbed, 2, 0), QCPS)
+    assert trace.answered and hash(trace) == hash(dataclasses.replace(trace))
+    # the sections are left out of the hash, so it is the query id's
+    answer = trace.answered[0][1]
+    assert hash(answer) == hash(EstimationReport(answer.query_id, {Service.ROAD_CONDITION: _ROAD}))
 
 
 @pytest.mark.parametrize(
@@ -1882,6 +1920,132 @@ def test_cost_layer_inputs_built_from_junk_return_or_raise_a_sensegrid_error(dat
         report.comparison_table(comparison)
         report.comparison_csv(comparison)
         report.canonical_json(report.comparison_dict(comparison))
+
+
+_VALID_GRIDS = (
+    {"grid_id": "A", "sensor_type": SensorType.VISION, "members": ("A", "B"), "coordinator": "B",
+     "election": "medoid"},
+    {"grid_id": "C", "sensor_type": SensorType.SPEED, "members": ("C",), "coordinator": "C",
+     "election": "overridden"},
+)
+_VALID_ANSWER = {"query_id": "Q1", "sections": {Service.ROAD_CONDITION: _ROAD}}
+# values that nearly fit each input: ("A", "B", "0") and ("C", "0") keep a
+# valid grid's first member and coordinator but are out of order
+_NEAR_MISSES = {
+    "grid_id": ("Z", "B", 7),
+    "sensor_type": ("vision",),
+    "members": (("B", "A"), ("A", 7), (["A"],), ("A", "B", "0"), ("C", "0"), "AB"),
+    "coordinator": ("Z", 7),
+    "election": ("Medoid", 5),
+    "grids": (("x",), (None,), []),
+    "query_id": ("", 5),
+    "sections": (None, {"x": 1}, {Service.ENVIRONMENT: 1}, {Service.ENVIRONMENT: _ROAD}),
+    "tick": (-1, True, 1.0),
+    "entry": ((0,), (0, "report"), [0, None]),
+    "node": ("A", Position(0, 0, 0)),
+    "missing": (None,),  # drops the coordinator's index entry; the value is not used
+    "index": ("AB", ["A", "B"]),
+    "requester": ("C", ["A"], 7),
+    "target": ("C", ["A"], 7),
+}
+
+
+_POSITIONS = st.sampled_from((-sys.float_info.max, 0.0, sys.float_info.max)) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+def _assert_written_grids_and_answers_hold(written: str) -> None:
+    """A written report or trace parses; each grid's ids are strs, its members
+    distinct and sorted, the first its grid_id, and its election one of the
+    two; each answer has a str query id and a non-negative int tick."""
+    document = json.loads(written)
+    for grid in document["grids"] or ():
+        members = grid["members"]
+        assert all(isinstance(i, str) for i in (grid["coordinator"], *members))
+        assert members == sorted(set(members)) and grid["grid_id"] == members[0]
+        assert grid["election"] in ("medoid", "overridden")
+    for answer in document["reports"]:
+        assert isinstance(answer["query_id"], str)
+        assert type(answer["tick"]) is int and answer["tick"] >= 0
+
+
+# each near miss is a case of its own, so every one is tried
+_FAULTS = [pytest.param(None, None, id="none")] + [
+    pytest.param(name, value, id=f"{name}-{i}")
+    for name, values in _NEAR_MISSES.items()
+    for i, value in enumerate(values)
+]
+
+
+@pytest.mark.parametrize("fault, near_miss", _FAULTS)
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(data=st.data())
+def test_grid_and_answer_inputs_built_from_junk_return_or_raise_a_sensegrid_error(
+    testbed, fault, near_miss, data
+):
+    """Everything is valid but the input `fault`: half the time `near_miss`,
+    else any junk the cost-layer property draws."""
+    junk = near_miss if data.draw(st.booleans()) else data.draw(_COST_JUNK)
+
+    def junk_for(name, value):
+        return junk if name == fault else value
+
+    def built(kind, valid):
+        """kind(**valid), the faulty field junk, or None if that raised; what
+        it builds hashes, as a frozen value type's instances do."""
+        value = _returns_or_raises_a_sensegrid_error(
+            lambda: kind(**{name: junk_for(name, field) for name, field in valid.items()})
+        )
+        hash(value)
+        return value
+
+    # every grid takes the fault, and one answer, if there are any
+    grids = [built(Grid, valid) for valid in _VALID_GRIDS]
+    grid_set = built(GridSet, {"grids": tuple(g for g in grids if g is not None)})
+    answered = [(0, EstimationReport(**_VALID_ANSWER)) for _ in range(data.draw(st.integers(0, 2)))]
+    answer = built(EstimationReport, _VALID_ANSWER)
+    if answered and answer is not None:
+        tick = junk_for("tick", data.draw(st.integers(0, 3)))
+        answered[-1] = junk_for("entry", (tick, answer))
+    run_report = _returns_or_raises_a_sensegrid_error(
+        report.build_run_report, testbed, grid_set, {}, answered
+    )
+    # a tick past the int-to-str digit limit is an int canonical_json cannot write
+    written = [
+        _returns_or_raises_a_sensegrid_error(report.canonical_json, run_report, writes=True)
+        if run_report is not None else None,
+        _returns_or_raises_a_sensegrid_error(
+            serialize_trace, SimulationTrace(QCPS, (), (), grid_set, answered), writes=True
+        ),
+    ]
+    for text in written:
+        if text is not None:
+            _assert_written_grids_and_answers_hold(text)
+
+    # two sensors whose distance may overflow; the coordinator's entry may be
+    # junk or missing, or the whole index junk
+    index = {
+        i: SensorNode(i, SensorType.VISION, Position(*(data.draw(_POSITIONS) for _ in "xyz")))
+        for i in "AB"
+    }
+    coordinator = data.draw(st.sampled_from("AB"))
+    index[coordinator] = junk_for("node", index[coordinator])
+    if fault == "missing":
+        del index[coordinator]
+    index = junk_for("index", index)
+    members = junk_for("members", data.draw(st.sampled_from((("A",), ("A", "B"), ("B", "A")))))
+    try:
+        elected = elect_coordinator_ids(members, index)
+    except SenseGridError:
+        pass
+    else:
+        assert type(members) is tuple and elected in members
+    pair = GridSet((Grid("A", SensorType.VISION, ("A", "B"), coordinator),))
+    requester, target = (
+        junk_for(name, data.draw(st.sampled_from("AB"))) for name in ("requester", "target")
+    )
+    _returns_or_raises_a_sensegrid_error(route_sensor_request, requester, target, pair, index)
 
 
 def test_canonical_json_rejects_an_int_past_the_digit_limit():
