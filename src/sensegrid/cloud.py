@@ -255,22 +255,62 @@ def _require_thresholds(thresholds: object) -> None:
         raise ConfigError("thresholds: expected a CongestionThresholds")
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (test, what it expects) of each field of a result with data: a mean is
+# any number, as an infinite reading's mean may be inf
+_A_NUMBER = (_is_number, "a number")
+_RESULT_RULES = {
+    "distorted_fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "dominant_lane_count": (lambda v: type(v) is int and v in (1, 2), "1 or 2"),
+    "congestion_level": (
+        lambda v: isinstance(v, str) and v in ("low", "medium", "high"),
+        "'low', 'medium' or 'high'",
+    ),
+    "any_crash": (lambda v: type(v) is bool, "a bool"),
+}
+_NO_DATA = (lambda v: v is None, "None without data")
+
+
+class _Result:
+    """Base of the four result types: `data_available` is a bool, and every
+    other field is None without data and holds what `_RESULT_RULES` expects
+    with it. The first field that fails raises a ConfigError naming the
+    result's `_service`, a class attribute with no annotation and so not a
+    field, and the field."""
+
+    def __post_init__(self) -> None:
+        service = self._service.value
+        if type(self.data_available) is not bool:
+            raise ConfigError(f"{service}.data_available: expected a bool")
+        for f in fields(self)[1:]:
+            rule = _RESULT_RULES.get(f.name, _A_NUMBER) if self.data_available else _NO_DATA
+            holds, expected = rule
+            if not holds(getattr(self, f.name)):
+                raise ConfigError(f"{service}.{f.name}: expected {expected}")
+
+
 @dataclass(frozen=True)
-class RoadConditionResult:
+class RoadConditionResult(_Result):
+    _service = Service.ROAD_CONDITION
     data_available: bool
     distorted_fraction: float | None = None
     dominant_lane_count: int | None = None
 
 
 @dataclass(frozen=True)
-class VelocityTravelTimeResult:
+class VelocityTravelTimeResult(_Result):
+    _service = Service.VELOCITY_TRAVEL_TIME
     data_available: bool
     mean_speed: float | None = None
     travel_time_ticks: float | None = None
 
 
 @dataclass(frozen=True)
-class EnvironmentResult:
+class EnvironmentResult(_Result):
+    _service = Service.ENVIRONMENT
     data_available: bool
     mean_temperature: float | None = None
     mean_humidity: float | None = None
@@ -278,7 +318,8 @@ class EnvironmentResult:
 
 
 @dataclass(frozen=True)
-class CongestionResult:
+class CongestionResult(_Result):
+    _service = Service.CONGESTION
     data_available: bool
     mean_vehicle_count: float | None = None
     congestion_level: str | None = None

@@ -20,8 +20,8 @@ the tests enforce it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from . import TOOL_VERSION
 from .cloud import EstimationReport
@@ -52,7 +52,7 @@ def _write_canonical(value, out: list[str], indent: int) -> None:
         out.append("{\n")
         keys = sorted(value)
         for i, key in enumerate(keys):
-            out.append(f'{pad}  {json.dumps(key)}: ')
+            out.append(f'{pad}  {encode_basestring_ascii(key)}: ')
             _write_canonical(value[key], out, indent + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
@@ -76,7 +76,7 @@ def _write_canonical(value, out: list[str], indent: int) -> None:
     elif isinstance(value, float):
         out.append(_json_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))  # what json.dumps writes
     elif value is None:
         out.append("null")
     elif type(value) is _Messages:  # a runner trace's messages
@@ -125,14 +125,11 @@ def _require_costs(costs: dict[str, CostReport]) -> None:
 
 
 def estimation_report_dict(report: EstimationReport) -> dict:
-    sections = {}
-    for service, section in report.sections.items():
-        entry = {"data_available": section.data_available}
-        if section.data_available:
-            for name, value in vars(section).items():
-                if name != "data_available" and value is not None:
-                    entry[name] = value
-        sections[service.value] = entry
+    # a result with data sets every field, one without sets none
+    sections = {
+        service.value: dict(vars(section)) if section.data_available else {"data_available": False}
+        for service, section in report.sections.items()
+    }
     return {"query_id": report.query_id, "sections": sections}
 
 

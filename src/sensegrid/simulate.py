@@ -20,8 +20,10 @@ requests, each in input order. Each strategy is one generator of
 transmission rows (src, dst, medium, purpose, wireless distance), all sent
 at the item's tick. Rows repeat, so blocks are built once and shared: qcps
 builds one report block per run and yields it every tick and one query
-block that every query shares, flat one polling block per query and yields
-it once per window tick, and each request has a small block of its own.
+block that every query shares; flat computes each sensor's round trip with
+the gateway once per run, makes a query's polling block of the trips of its
+sensor types and yields it once per window tick; and each request has a
+small block of its own.
 Both walk one schedule, the workload's events sorted by tick, and a run's
 compute events come from that schedule alone, before any block is built:
 one computation operation per requested service of a query, at the cloud
@@ -84,7 +86,7 @@ from .cloud import (
     _require_thresholds,
     answer_centric_query,
 )
-from .errors import ConfigError, RoutingError, WorkloadError
+from .errors import ConfigError, RoutingError, SenseGridError, WorkloadError
 from .grids import _TOO_FAR, GridSet, form_grids
 from .topology import (
     CLOUD_SITE,
@@ -319,9 +321,8 @@ def route_sensor_request(
     for node_id in (requester, coordinator):
         node = sensors_by_id[node_id]
         _require_type(node, SensorNode, f"sensors_by_id[{node_id!r}]", RoutingError)
-    hop = distance(
-        sensors_by_id[requester].position, sensors_by_id[coordinator].position
-    )
+    positions = (sensors_by_id[node_id].position for node_id in (requester, coordinator))
+    hop = _finite_distance(*positions, RoutingError)
     legs = _request_legs(requester, coordinator, hop)
     return [Message(first_msg_id + i, tick, *row) for i, row in enumerate(legs)]
 
@@ -531,12 +532,18 @@ def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
         Position(*(pick(getattr(s.position, axis) for s in sensors) for axis in "xyz"))
         for pick in (min, max)
     ]
+    _finite_distance(*corners, ConfigError)
+
+
+def _finite_distance(a: Position, b: Position, error: type[SenseGridError]) -> float:
+    """distance(a, b); where no float holds it, `error` says the sensors are too far apart."""
     try:
-        diagonal = distance(*corners)
-    except ConfigError:
-        diagonal = math.inf
-    if diagonal == math.inf:
-        raise ConfigError(_TOO_FAR)
+        hop = distance(a, b)
+    except ConfigError:  # a gap of ints whose square no float holds
+        hop = math.inf
+    if hop == math.inf:
+        raise error(_TOO_FAR)
+    return hop
 
 
 def _qcps_legs(cfg: ScenarioConfig, schedule: list[tuple], grids: GridSet):
@@ -566,36 +573,31 @@ def _gateway_position(sensors: tuple[SensorNode, ...]) -> Position:
     return Position(*(_mean([getattr(s.position, axis) for s in sensors]) for axis in "xyz"))
 
 
+def _round_trip(a: str, b: str, hop: float) -> tuple[tuple, tuple]:
+    """A wireless request from a to b over `hop` and b's response."""
+    return (a, b, WIRELESS, "request", hop), (b, a, WIRELESS, "response", hop)
+
+
 def _flat_legs(cfg: ScenarioConfig, schedule: list[tuple]):
     by_id = cfg.by_id()
-    gateway_distance: dict[str, float] = {}
-    if cfg.sensors:
-        gateway = _gateway_position(cfg.sensors)
-        gateway_distance = {
-            s.node_id: distance(gateway, s.position) for s in cfg.sensors
-        }
+    gateway = _gateway_position(cfg.sensors) if cfg.sensors else None
+    # each sensor's type and round trip with the gateway, in sensor order
+    trips = [
+        (s.sensor_type, _round_trip(GATEWAY_SITE, s.node_id, distance(gateway, s.position)))
+        for s in cfg.sensors
+    ]
     for tick, *event in schedule:
         if len(event) == 1:
             query = event[0]
-            relevant_types = [
-                SERVICE_SENSOR_TYPE[service] for service in query.requested_services
-            ]
-            polling = []
-            for s in cfg.sensors:
-                if s.sensor_type in relevant_types:
-                    hop = gateway_distance[s.node_id]
-                    polling.append((GATEWAY_SITE, s.node_id, WIRELESS, "request", hop))
-                    polling.append((s.node_id, GATEWAY_SITE, WIRELESS, "response", hop))
+            types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
+            polling = _block(row for kind, trip in trips if kind in types for row in trip)
             start, end = query.window
             # the same round trips once per tick of the window
-            yield from repeat((tick, _block(polling)), end - start + 1)
+            yield from repeat((tick, polling), end - start + 1)
         else:
             requester, target = event
             hop = distance(by_id[requester].position, by_id[target].position)
-            yield tick, _block((
-                (requester, target, WIRELESS, "request", hop),
-                (target, requester, WIRELESS, "response", hop),
-            ))
+            yield tick, _block(_round_trip(requester, target, hop))
 
 
 def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -23,9 +26,13 @@ from sensegrid import (
 )
 from sensegrid.cloud import (
     CloudDatabase,
+    CongestionResult,
     EnvironmentPayload,
+    EnvironmentResult,
     MiscPayload,
+    RoadConditionResult,
     SpeedPayload,
+    VelocityTravelTimeResult,
     VisionPayload,
     _mean,
 )
@@ -428,6 +435,72 @@ def test_estimators_reject_a_malformed_window(sensor_type, empty):
 def test_reading_rejects_a_field_of_the_wrong_kind(args, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         Reading(*args)
+
+
+_FRACTION = "road_condition.distorted_fraction: expected a number in [0, 1]"
+_LANES = "road_condition.dominant_lane_count: expected 1 or 2"
+
+
+@pytest.mark.parametrize(
+    "kind, args, message",
+    [
+        (RoadConditionResult, ("yes", [1], "x"), "road_condition.data_available: expected a bool"),
+        (VelocityTravelTimeResult, (1, 5.0, 2.0),
+         "velocity_travel_time.data_available: expected a bool"),
+        (RoadConditionResult, (False, 0.5, 1),
+         "road_condition.distorted_fraction: expected None without data"),
+        (CongestionResult, (False, None, None, False),
+         "congestion.any_crash: expected None without data"),
+        (RoadConditionResult, (True, [1], 1), _FRACTION),
+        (RoadConditionResult, (True, 1.5, 1), _FRACTION),
+        (RoadConditionResult, (True, -0.1, 2), _FRACTION),
+        (RoadConditionResult, (True, math.nan, 2), _FRACTION),
+        (RoadConditionResult, (True, True, 2), _FRACTION),
+        (RoadConditionResult, (True, 0.5, 3), _LANES),
+        (RoadConditionResult, (True, 0.5, True), _LANES),
+        (RoadConditionResult, (True, 0.5, 2.0), _LANES),
+        (RoadConditionResult, (True, 0.5), _LANES),
+        (VelocityTravelTimeResult, (True, "5", 2.0),
+         "velocity_travel_time.mean_speed: expected a number"),
+        (VelocityTravelTimeResult, (True, 5.0, False),
+         "velocity_travel_time.travel_time_ticks: expected a number"),
+        (EnvironmentResult, (True, 1.0, None, 2.0), "environment.mean_humidity: expected a number"),
+        (EnvironmentResult, (True, 1.0, 2.0, [3.0]), "environment.mean_light: expected a number"),
+        (CongestionResult, (True, 3.0, "extreme", True),
+         "congestion.congestion_level: expected 'low', 'medium' or 'high'"),
+        (CongestionResult, (True, 3.0, None, True),
+         "congestion.congestion_level: expected 'low', 'medium' or 'high'"),
+        (CongestionResult, (True, 3.0, "low", 1), "congestion.any_crash: expected a bool"),
+        (CongestionResult, (True, True, "low", False),
+         "congestion.mean_vehicle_count: expected a number"),
+    ],
+    ids=["str_available", "int_available", "fields_without_data", "crash_without_data",
+         "list_fraction", "fraction_above_1", "negative_fraction", "nan_fraction", "bool_fraction",
+         "three_lanes", "bool_lanes", "float_lanes", "no_lanes", "str_speed", "bool_travel_time",
+         "no_humidity", "list_light", "unknown_level", "no_level", "int_crash", "bool_count"],
+)
+def test_results_name_a_field_of_the_wrong_kind(kind, args, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        kind(*args)
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        RoadConditionResult(False),
+        RoadConditionResult(True, 0, 1),
+        RoadConditionResult(True, 1.0, 2),
+        VelocityTravelTimeResult(True, math.inf, 0.0),  # an infinite speed's mean
+        VelocityTravelTimeResult(True, 3, 10**400),
+        EnvironmentResult(True, -40.0, math.nan, 0),
+        CongestionResult(False),
+        CongestionResult(True, 20.5, "high", False),
+    ],
+    ids=["road_none", "road_0", "road_1", "inf_speed", "int_speed", "nan_humidity",
+         "congestion_none", "congestion_high"],
+)
+def test_results_accept_what_the_formulas_produce_and_any_mean(result):
+    assert hash(result) == hash(dataclasses.replace(result))
 
 
 def test_a_database_holds_only_readings_with_str_ids():

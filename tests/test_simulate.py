@@ -60,7 +60,13 @@ from sensegrid import (
 )
 from sensegrid import cli, report, simulate
 from sensegrid import workload as workload_module
-from sensegrid.cloud import SERVICE_SENSOR_TYPE, EstimationReport, RoadConditionResult
+from sensegrid.cloud import (
+    SERVICE_SENSOR_TYPE,
+    CongestionResult,
+    EstimationReport,
+    RoadConditionResult,
+    _SECTION_TYPE,
+)
 from sensegrid.grids import elect_coordinator_ids
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
 
@@ -1662,6 +1668,21 @@ def test_route_sensor_request_rejects_a_sensor_the_grid_set_does_not_cover(testb
         route_sensor_request("SS_1", "SS_2", grids, testbed.by_id())
 
 
+@pytest.mark.parametrize("far", [1e308, 10**200], ids=["float", "int"])
+def test_route_sensor_request_rejects_a_hop_no_float_holds(far):
+    # a run rejects these sensors through _check_extent; this path checks its hop
+    index = {
+        "A": SensorNode("A", SensorType.VISION, Position(-far, 0.0, 0.0)),
+        "B": SensorNode("B", SensorType.VISION, Position(far, 0.0, 0.0)),
+    }
+    grids = GridSet((Grid("A", SensorType.VISION, ("A", "B"), "B"),))
+    message = "^sensors: positions too far apart; their distances overflow a float$"
+    with pytest.raises(RoutingError, match=message):
+        route_sensor_request("A", "B", grids, index)
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(ScenarioConfig(tuple(index.values()), 1.0, duration_ticks=1), Workload(), QCPS)
+
+
 def test_cost_comparison_derives_its_delta_from_the_two_reports(testbed):
     comparison = compare_strategies(testbed, generate_workload(testbed, 5, 5))
     rebuilt = CostComparison(comparison.qcps, comparison.flat)
@@ -1929,6 +1950,13 @@ _VALID_GRIDS = (
      "election": "overridden"},
 )
 _VALID_ANSWER = {"query_id": "Q1", "sections": {Service.ROAD_CONDITION: _ROAD}}
+_VALID_SECTIONS = (
+    (Service.ROAD_CONDITION, RoadConditionResult,
+     {"data_available": True, "distorted_fraction": 0.5, "dominant_lane_count": 1}),
+    (Service.CONGESTION, CongestionResult,
+     {"data_available": True, "mean_vehicle_count": 3.0, "congestion_level": "low",
+      "any_crash": False}),
+)
 # values that nearly fit each input: ("A", "B", "0") and ("C", "0") keep a
 # valid grid's first member and coordinator but are out of order
 _NEAR_MISSES = {
@@ -1942,6 +1970,11 @@ _NEAR_MISSES = {
     "sections": (None, {"x": 1}, {Service.ENVIRONMENT: 1}, {Service.ENVIRONMENT: _ROAD}),
     "tick": (-1, True, 1.0),
     "entry": ((0,), (0, "report"), [0, None]),
+    "data_available": ("yes", 1, None, False),
+    "distorted_fraction": (1.5, -0.5, [0.5], True, None),
+    "dominant_lane_count": (3, 2.0, True, None),
+    "congestion_level": ("extreme", "Low", None),
+    "any_crash": (1, "no", None),
     "node": ("A", Position(0, 0, 0)),
     "missing": (None,),  # drops the coordinator's index entry; the value is not used
     "index": ("AB", ["A", "B"]),
@@ -1955,10 +1988,40 @@ _POSITIONS = st.sampled_from((-sys.float_info.max, 0.0, sys.float_info.max)) | s
 )
 
 
+# what a result field holds when there is data, where that is not just any number
+_SECTION_FIELD_HOLDS = {
+    "distorted_fraction": lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    "dominant_lane_count": lambda v: type(v) is int and v in (1, 2),
+    "congestion_level": lambda v: v in ("low", "medium", "high"),
+    "any_crash": lambda v: type(v) is bool,
+}
+
+
+def _assert_section_holds(service: str, section: dict) -> None:
+    """A result's fields, built or as written: `data_available` is a bool;
+    without data no other field is set, and with data every one is, each a
+    number (a bool is not one) or what `_SECTION_FIELD_HOLDS` asks for."""
+    available = section["data_available"]
+    others = {name: value for name, value in section.items() if name != "data_available"}
+    assert type(available) is bool
+    if not available:
+        assert all(value is None for value in others.values())
+        return
+    names = [f.name for f in dataclasses.fields(_SECTION_TYPE[Service(service)])][1:]
+    assert sorted(others) == sorted(names)
+    for name, value in others.items():
+        holds = _SECTION_FIELD_HOLDS.get(name)
+        if holds is None:
+            assert type(value) in (int, float)
+        else:
+            assert holds(value), (service, name, value)
+
+
 def _assert_written_grids_and_answers_hold(written: str) -> None:
     """A written report or trace parses; each grid's ids are strs, its members
     distinct and sorted, the first its grid_id, and its election one of the
-    two; each answer has a str query id and a non-negative int tick."""
+    two; each answer has a str query id and a non-negative int tick, and its
+    sections hold as `_assert_section_holds` says."""
     document = json.loads(written)
     for grid in document["grids"] or ():
         members = grid["members"]
@@ -1968,6 +2031,8 @@ def _assert_written_grids_and_answers_hold(written: str) -> None:
     for answer in document["reports"]:
         assert isinstance(answer["query_id"], str)
         assert type(answer["tick"]) is int and answer["tick"] >= 0
+        for service, section in answer["sections"].items():
+            _assert_section_holds(service, section)
 
 
 # each near miss is a case of its own, so every one is tried
@@ -2004,7 +2069,13 @@ def test_grid_and_answer_inputs_built_from_junk_return_or_raise_a_sensegrid_erro
     grids = [built(Grid, valid) for valid in _VALID_GRIDS]
     grid_set = built(GridSet, {"grids": tuple(g for g in grids if g is not None)})
     answered = [(0, EstimationReport(**_VALID_ANSWER)) for _ in range(data.draw(st.integers(0, 2)))]
-    answer = built(EstimationReport, _VALID_ANSWER)
+    # the answer's sections take the fault too
+    sections = {service: built(kind, valid) for service, kind, valid in _VALID_SECTIONS}
+    for service, section in sections.items():
+        if section is not None:
+            _assert_section_holds(service.value, vars(section))
+    sections = {service: section for service, section in sections.items() if section is not None}
+    answer = built(EstimationReport, {"query_id": "Q1", "sections": sections})
     if answered and answer is not None:
         tick = junk_for("tick", data.draw(st.integers(0, 3)))
         answered[-1] = junk_for("entry", (tick, answer))
@@ -2045,7 +2116,9 @@ def test_grid_and_answer_inputs_built_from_junk_return_or_raise_a_sensegrid_erro
     requester, target = (
         junk_for(name, data.draw(st.sampled_from("AB"))) for name in ("requester", "target")
     )
-    _returns_or_raises_a_sensegrid_error(route_sensor_request, requester, target, pair, index)
+    legs = _returns_or_raises_a_sensegrid_error(route_sensor_request, requester, target, pair, index)
+    for leg in legs or ():
+        assert math.isfinite(leg.wireless_distance)
 
 
 def test_canonical_json_rejects_an_int_past_the_digit_limit():
@@ -2063,6 +2136,19 @@ def test_flat_rejects_a_window_longer_than_a_sequence_can_be(testbed):
     with pytest.raises(WorkloadError, match=message):
         compare_strategies(cfg, workload)
     assert len(run_scenario(cfg, workload, QCPS).messages) == 98
+
+
+# any code point, lone surrogates too, with the ones JSON escapes drawn often
+_ANY_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\ud800\udfffé東\u2028')
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_ANY_TEXT)
+def test_canonical_json_writes_a_str_as_json_dumps_does(text):
+    assert report.canonical_json(text) == json.dumps(text) + "\n"
+    assert report.canonical_json({text: text}) == f"{{\n  {json.dumps(text)}: {json.dumps(text)}\n}}\n"
 
 
 def test_canonical_json_rejects_a_value_it_cannot_write():
