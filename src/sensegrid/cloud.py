@@ -86,14 +86,6 @@ def _check_payload_columns(payload_type: type, columns: Sequence[Sequence]) -> N
                 payload_type(*row)
 
 
-PAYLOAD_TYPE: dict[SensorType, type] = {
-    SensorType.VISION: VisionPayload,
-    SensorType.SPEED: SpeedPayload,
-    SensorType.ENVIRONMENT: EnvironmentPayload,
-    SensorType.MISCELLANEOUS: MiscPayload,
-}
-
-
 @dataclass(frozen=True)
 class Reading:
     sensor_id: str
@@ -116,14 +108,6 @@ class Reading:
 # ---------------------------------------------------------------------------
 # Databases
 # ---------------------------------------------------------------------------
-
-_DB_NAME: dict[SensorType, str] = {
-    SensorType.VISION: "VDB",
-    SensorType.SPEED: "SDB",
-    SensorType.ENVIRONMENT: "EDB",
-    SensorType.MISCELLANEOUS: "MDB",
-}
-
 
 def database_for(sensor_type: SensorType) -> str:
     """Name of the cloud database holding a sensor type's data."""
@@ -180,13 +164,6 @@ class Service(enum.Enum):
 
 
 _SERVICE_BY_NAME = {s.value: s for s in Service}
-
-SERVICE_SENSOR_TYPE: dict[Service, SensorType] = {
-    Service.ROAD_CONDITION: SensorType.VISION,
-    Service.VELOCITY_TRAVEL_TIME: SensorType.SPEED,
-    Service.ENVIRONMENT: SensorType.ENVIRONMENT,
-    Service.CONGESTION: SensorType.MISCELLANEOUS,
-}
 
 
 def service_from_name(name: str) -> Service:
@@ -278,11 +255,10 @@ class _Result:
     """Base of the four result types: `data_available` is a bool, and every
     other field is None without data and holds what `_RESULT_RULES` expects
     with it. The first field that fails raises a ConfigError naming the
-    result's `_service`, a class attribute with no annotation and so not a
-    field, and the field."""
+    field and the service whose row in `_SERVICES` has this result type."""
 
     def __post_init__(self) -> None:
-        service = self._service.value
+        service = _RESULT_SERVICE[type(self)].value
         if type(self.data_available) is not bool:
             raise ConfigError(f"{service}.data_available: expected a bool")
         for f in fields(self)[1:]:
@@ -294,7 +270,6 @@ class _Result:
 
 @dataclass(frozen=True)
 class RoadConditionResult(_Result):
-    _service = Service.ROAD_CONDITION
     data_available: bool
     distorted_fraction: float | None = None
     dominant_lane_count: int | None = None
@@ -302,7 +277,6 @@ class RoadConditionResult(_Result):
 
 @dataclass(frozen=True)
 class VelocityTravelTimeResult(_Result):
-    _service = Service.VELOCITY_TRAVEL_TIME
     data_available: bool
     mean_speed: float | None = None
     travel_time_ticks: float | None = None
@@ -310,7 +284,6 @@ class VelocityTravelTimeResult(_Result):
 
 @dataclass(frozen=True)
 class EnvironmentResult(_Result):
-    _service = Service.ENVIRONMENT
     data_available: bool
     mean_temperature: float | None = None
     mean_humidity: float | None = None
@@ -319,7 +292,6 @@ class EnvironmentResult(_Result):
 
 @dataclass(frozen=True)
 class CongestionResult(_Result):
-    _service = Service.CONGESTION
     data_available: bool
     mean_vehicle_count: float | None = None
     congestion_level: str | None = None
@@ -331,13 +303,20 @@ SectionResult = (
 )
 
 
-# the result type of each service's section of a report
-_SECTION_TYPE = {
-    Service.ROAD_CONDITION: RoadConditionResult,
-    Service.VELOCITY_TRAVEL_TIME: VelocityTravelTimeResult,
-    Service.ENVIRONMENT: EnvironmentResult,
-    Service.CONGESTION: CongestionResult,
+# The service catalogue, one row per service: the sensor type whose cloud
+# database answers it, that type's payload class and database name, and the
+# service's result type. Every other map between these is derived from it.
+_SERVICES = {
+    Service.ROAD_CONDITION: (SensorType.VISION, VisionPayload, "VDB", RoadConditionResult),
+    Service.VELOCITY_TRAVEL_TIME: (SensorType.SPEED, SpeedPayload, "SDB", VelocityTravelTimeResult),
+    Service.ENVIRONMENT: (SensorType.ENVIRONMENT, EnvironmentPayload, "EDB", EnvironmentResult),
+    Service.CONGESTION: (SensorType.MISCELLANEOUS, MiscPayload, "MDB", CongestionResult),
 }
+SERVICE_SENSOR_TYPE: dict[Service, SensorType] = {s: t for s, (t, *_) in _SERVICES.items()}
+PAYLOAD_TYPE: dict[SensorType, type] = {t: payload for t, payload, _, _ in _SERVICES.values()}
+_DB_NAME: dict[SensorType, str] = {t: name for t, _, name, _ in _SERVICES.values()}
+_SECTION_TYPE = {s: result for s, (*_, result) in _SERVICES.items()}
+_RESULT_SERVICE = {result: s for s, result in _SECTION_TYPE.items()}
 
 
 @dataclass(frozen=True)
