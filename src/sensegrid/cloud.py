@@ -1,19 +1,24 @@
 """Cloud-side storage and the four estimation services.
 
 The cloud keeps one database per sensor type (VDB, SDB, EDB, MDB) with one
-append-only table per sensor. Estimators are pure reads over a tick window;
-an empty window is a flagged absence, never an error. Each estimator's
-formula is one function over the window's payload columns, and `_answer`
-is the one rule from a query to its report: service to sensor type,
-formula, `EstimationReport`. Its callers differ only in their column
-source: `answer_centric_query` reads a `Cloud`'s databases, and the
-simulator's answer path reads generated column batches.
+append-only table per sensor. The service catalogue, `_SERVICES`, is the
+one place that pairs each service with the sensor type that answers it,
+that type's payload class and database, and the service's result type.
+A payload checks each field's kind and range with `_PAYLOAD_CHECKS`.
+Estimators are pure reads over a tick window; an empty window is a flagged
+absence, never an error. Each estimator's formula is one function over the
+window's payload columns, and `_answer` is the one rule from a query to its
+report: service to sensor type, formula, `EstimationReport`. Its callers
+differ only in their column source: `answer_centric_query` reads a
+`Cloud`'s databases, and the simulator's answer path reads generated
+column batches.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
@@ -31,8 +36,8 @@ class _Payload:
 
     def __post_init__(self) -> None:
         values = tuple(vars(self).values())  # field order
-        for index, rejects, message in _PAYLOAD_CHECKS[type(self)]:
-            if rejects(values[index]):
+        for index, holds, message in _PAYLOAD_CHECKS[type(self)]:
+            if not holds(values[index]):
                 raise ConfigError(message)
 
 
@@ -62,17 +67,53 @@ class MiscPayload(_Payload):
 
 Payload = VisionPayload | SpeedPayload | EnvironmentPayload | MiscPayload
 
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_bool(value: object) -> bool:
+    return type(value) is bool
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _fits_a_float(number: float) -> bool:
+    """Whether a number is a float, inf and NaN included, or an int a float holds."""
+    return isinstance(number, float) or -_FLOAT_MAX <= number <= _FLOAT_MAX
+
+
 # Each payload type's checks, in the order a payload applies them: the index
-# of the checked field, a test that is true for a rejected value, and the
-# error message.
+# of the checked field, a test that holds for an accepted value, and the
+# error message. A field's kind is checked before its range, so a range test
+# only sees a number, and an int too large for a float is rejected, as a
+# mean could not be taken of it.
 _PAYLOAD_CHECKS = {
-    VisionPayload: ((0, lambda v: v not in (1, 2), "lane_count: must be 1 or 2"),),
-    SpeedPayload: ((0, lambda v: not v > 0, "vehicle_speed: must be positive"),),
-    EnvironmentPayload: (
-        (1, lambda v: not 0 <= v <= 100, "humidity: must lie in [0, 100]"),
-        (2, lambda v: v < 0, "light: must be non-negative"),
+    VisionPayload: (
+        (0, lambda v: type(v) is int and v in (1, 2), "lane_count: must be 1 or 2"),
+        (1, _is_bool, "distorted: expected a bool"),
     ),
-    MiscPayload: ((0, lambda v: v < 0, "vehicle_count: must be non-negative"),),
+    SpeedPayload: (
+        (0, _is_number, "vehicle_speed: expected a number"),
+        (0, lambda v: v > 0, "vehicle_speed: must be positive"),
+        (0, _fits_a_float, "vehicle_speed: too large for a float"),
+    ),
+    EnvironmentPayload: (
+        (0, _is_number, "temperature: expected a number"),
+        (0, _fits_a_float, "temperature: too large for a float"),
+        (1, _is_number, "humidity: expected a number"),
+        (1, lambda v: 0 <= v <= 100, "humidity: must lie in [0, 100]"),
+        (2, _is_number, "light: expected a number"),
+        (2, lambda v: not v < 0, "light: must be non-negative"),
+        (2, _fits_a_float, "light: too large for a float"),
+    ),
+    MiscPayload: (
+        (0, lambda v: type(v) is int, "vehicle_count: expected an integer"),
+        (0, lambda v: v >= 0, "vehicle_count: must be non-negative"),
+        (0, _fits_a_float, "vehicle_count: too large for a float"),
+        (1, _is_bool, "crash: expected a bool"),
+    ),
 }
 
 
@@ -80,8 +121,8 @@ def _check_payload_columns(payload_type: type, columns: Sequence[Sequence]) -> N
     """Raise the `ConfigError` that building the rows as payloads of this type,
     in row order, would raise first; columns are in field order. The scan
     only finds that some row fails; the payloads then say which error."""
-    for index, rejects, _ in _PAYLOAD_CHECKS[payload_type]:
-        if any(map(rejects, columns[index])):
+    for index, holds, _ in _PAYLOAD_CHECKS[payload_type]:
+        if not all(map(holds, columns[index])):
             for row in zip(*columns):
                 payload_type(*row)
 
@@ -111,6 +152,7 @@ class Reading:
 
 def database_for(sensor_type: SensorType) -> str:
     """Name of the cloud database holding a sensor type's data."""
+    _require_type(sensor_type, SensorType, "sensor_type", ConfigError)
     return _DB_NAME[sensor_type]
 
 
@@ -149,6 +191,7 @@ class Cloud:
                 return
 
     def db(self, sensor_type: SensorType) -> CloudDatabase:
+        _require_type(sensor_type, SensorType, "sensor_type", ConfigError)
         return self.databases[sensor_type]
 
 
@@ -167,12 +210,11 @@ _SERVICE_BY_NAME = {s.value: s for s in Service}
 
 
 def service_from_name(name: str) -> Service:
-    try:
+    if isinstance(name, str) and name in _SERVICE_BY_NAME:
         return _SERVICE_BY_NAME[name]
-    except KeyError:
-        raise QueryError(
-            f"unknown service {name!r}; expected one of {sorted(_SERVICE_BY_NAME)}"
-        ) from None
+    # a non-str is named by its type: the repr of an int past the digit limit raises
+    shown = repr(name) if isinstance(name, str) else f"of type {type(name).__name__}"
+    raise QueryError(f"unknown service {shown}; expected one of {sorted(_SERVICE_BY_NAME)}")
 
 
 @dataclass(frozen=True)
@@ -232,10 +274,6 @@ def _require_thresholds(thresholds: object) -> None:
         raise ConfigError("thresholds: expected a CongestionThresholds")
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # (test, what it expects) of each field of a result with data: a mean is
 # any number, as an infinite reading's mean may be inf
 _A_NUMBER = (_is_number, "a number")
@@ -246,7 +284,7 @@ _RESULT_RULES = {
         lambda v: isinstance(v, str) and v in ("low", "medium", "high"),
         "'low', 'medium' or 'high'",
     ),
-    "any_crash": (lambda v: type(v) is bool, "a bool"),
+    "any_crash": (_is_bool, "a bool"),
 }
 _NO_DATA = (lambda v: v is None, "None without data")
 
@@ -353,7 +391,9 @@ def _mean(column: Sequence[float]) -> float:
         # the sum overflows, the mean does not: dividing by 2**k > n keeps
         # the sum finite and, above the subnormal range, is exact
         scale = 2 ** len(column).bit_length()
-        return math.fsum(v / scale for v in column) / len(column) * scale
+        return _mean([v / scale for v in column]) * scale
+    except ValueError:  # inf and -inf, whose float sum is NaN
+        return math.nan
 
 
 def _road_condition(

@@ -35,6 +35,7 @@ from sensegrid import (
     Position,
     QCPS,
     QueryError,
+    Reading,
     ReadingRanges,
     RoutingError,
     ScenarioConfig,
@@ -45,11 +46,17 @@ from sensegrid import (
     SimulationTrace,
     Workload,
     WorkloadError,
+    answer_centric_query,
     builtin_testbed,
     compare_strategies,
     cost_of,
+    database_for,
     distance,
     dump_topology,
+    estimate_congestion,
+    estimate_environment,
+    estimate_road_condition,
+    estimate_velocity_travel_time,
     form_grids,
     generate_workload,
     load_topology,
@@ -63,9 +70,14 @@ from sensegrid import workload as workload_module
 from sensegrid.cloud import (
     SERVICE_SENSOR_TYPE,
     CongestionResult,
+    EnvironmentPayload,
     EstimationReport,
+    MiscPayload,
     RoadConditionResult,
+    SpeedPayload,
+    VisionPayload,
     _SECTION_TYPE,
+    service_from_name,
 )
 from sensegrid.grids import elect_coordinator_ids
 from sensegrid.simulate import CLOUD_SITE, INFRASTRUCTURE, WIRELESS, ComputeEvent
@@ -2119,6 +2131,99 @@ def test_grid_and_answer_inputs_built_from_junk_return_or_raise_a_sensegrid_erro
     legs = _returns_or_raises_a_sensegrid_error(route_sensor_request, requester, target, pair, index)
     for leg in legs or ():
         assert math.isfinite(leg.wireless_distance)
+
+
+_VALID_PAYLOADS = (
+    (VisionPayload, {"lane_count": 1, "distorted": True}),
+    (SpeedPayload, {"vehicle_speed": 12.5}),
+    (EnvironmentPayload, {"temperature": 20.0, "humidity": 50.0, "light": 300.0}),
+    (MiscPayload, {"vehicle_count": 4, "crash": False}),
+)
+# values that nearly fit each field of a payload, a reading, a lookup or an
+# answer; some are valid, as an infinite temperature is
+_CLOUD_NEAR_MISSES = {
+    "lane_count": (3, True, 1.0),
+    "distorted": (1, "yes", None),
+    "vehicle_speed": ("5", True, 0, math.nan, math.inf, 10**400),
+    "temperature": ("hot", math.inf, -math.inf, math.nan, -(10**400)),
+    "humidity": ("50", 100.5, math.nan, 100),
+    "light": ("x", -1, math.inf, math.nan, 10**400),
+    "vehicle_count": ("3", 2.5, True, -1, 10**400, int(sys.float_info.max)),
+    "crash": ("no", 1, None),
+    "sensor_id": ("", 7),
+    "tick": (-1, True, 1.0, 4),
+    "payload": (None, (1, False)),
+    "sensor_type": ("vision", None),
+    "service_name": ("Congestion", [], None),
+    "cloud": (None, Cloud().db(SensorType.VISION)),
+    "window": ((0,), (3, 1), (0, 10**400), [0, 3]),
+    "segment_length": ("600", 0, math.inf, 10**400, 5e-324),
+    "thresholds": (None, (5.0, 15.0)),
+}
+_CLOUD_FAULTS = [pytest.param(None, None, id="none")] + [
+    pytest.param(name, value, id=f"{name}-{i}")
+    for name, values in _CLOUD_NEAR_MISSES.items()
+    for i, value in enumerate(values)
+]
+
+
+@pytest.mark.parametrize("fault, near_miss", _CLOUD_FAULTS)
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(data=st.data())
+def test_cloud_inputs_built_from_junk_return_or_raise_a_sensegrid_error(fault, near_miss, data):
+    """Everything is valid but the input `fault`, which each use draws anew:
+    its valid value, `near_miss`, or any junk the cost-layer property draws,
+    so a window may mix valid and junk readings. Payloads, readings and a
+    cloud are built from them; answering a query and each estimator return
+    or raise a SenseGridError, and every section they build holds."""
+
+    def junk_for(name, value):
+        if name != fault:
+            return value
+        return data.draw(st.sampled_from((value, near_miss)) | _COST_JUNK)
+
+    cloud = Cloud()
+    for kind, valid in _VALID_PAYLOADS:
+        for sensor_id in ("S1", "S2"):
+            payload = _returns_or_raises_a_sensegrid_error(
+                lambda: kind(**{name: junk_for(name, value) for name, value in valid.items()})
+            )
+            reading = _returns_or_raises_a_sensegrid_error(
+                Reading,
+                junk_for("sensor_id", sensor_id),
+                junk_for("tick", data.draw(st.integers(0, 3))),
+                junk_for("payload", payload),
+            )
+            if reading is not None:
+                cloud.ingest(reading)
+    _returns_or_raises_a_sensegrid_error(database_for, junk_for("sensor_type", SensorType.SPEED))
+    _returns_or_raises_a_sensegrid_error(service_from_name, junk_for("service_name", "congestion"))
+
+    window = junk_for("window", (0, 3))
+    segment_length = junk_for("segment_length", 600.0)
+    thresholds = junk_for("thresholds", CongestionThresholds())
+    query = _returns_or_raises_a_sensegrid_error(CentricQuery, "Q1", tuple(Service), window)
+    answer = _returns_or_raises_a_sensegrid_error(
+        answer_centric_query, query, junk_for("cloud", cloud), segment_length, thresholds
+    )
+    sections = list(answer.sections.items()) if answer is not None else []
+    estimates = {
+        Service.ROAD_CONDITION: lambda db: estimate_road_condition(db, window),
+        Service.VELOCITY_TRAVEL_TIME: lambda db: estimate_velocity_travel_time(
+            db, window, segment_length
+        ),
+        Service.ENVIRONMENT: lambda db: estimate_environment(db, window),
+        Service.CONGESTION: lambda db: estimate_congestion(db, window, thresholds),
+    }
+    for service, estimate in estimates.items():
+        db = _returns_or_raises_a_sensegrid_error(
+            lambda: cloud.db(junk_for("sensor_type", SERVICE_SENSOR_TYPE[service]))
+        )
+        section = _returns_or_raises_a_sensegrid_error(estimate, db)
+        if section is not None:
+            sections.append((service, section))
+    for service, section in sections:
+        _assert_section_holds(service.value, vars(section))
 
 
 def test_canonical_json_rejects_an_int_past_the_digit_limit():

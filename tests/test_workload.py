@@ -79,6 +79,7 @@ def test_generated_values_in_declared_ranges(testbed):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @st.composite
@@ -138,6 +139,31 @@ PAYLOAD_ROWS = {
         MiscPayload, [(0, False), (-1, True)], "vehicle_count: must be non-negative"
     ),
     "all_valid": (MiscPayload, [(0, False), (7, True)], None),
+    # a field's kind is checked before its range, in every row
+    "str_speed_in_a_later_row": (
+        SpeedPayload, [(1.0,), ("5",)], "vehicle_speed: expected a number"
+    ),
+    "bool_speed": (SpeedPayload, [(True,)], "vehicle_speed: expected a number"),
+    "str_light_after_bad_humidity": (
+        EnvironmentPayload,
+        [(20.0, 50.0, "x"), (20.0, 101.0, 1.0)],
+        "light: expected a number",
+    ),
+    "huge_temperature": (
+        EnvironmentPayload, [(10**400, 50.0, 1.0)], "temperature: too large for a float"
+    ),
+    "infinite_temperature_and_light_pass": (
+        EnvironmentPayload, [(INF, 50.0, INF), (-INF, 50.0, NAN)], None
+    ),
+    "bool_lane_count": (VisionPayload, [(1, False), (True, False)], "lane_count: must be 1 or 2"),
+    "str_distorted": (VisionPayload, [(1, "yes")], "distorted: expected a bool"),
+    "float_vehicle_count": (
+        MiscPayload, [(1, False), (2.5, False)], "vehicle_count: expected an integer"
+    ),
+    "huge_vehicle_count": (
+        MiscPayload, [(10**400, False)], "vehicle_count: too large for a float"
+    ),
+    "str_crash": (MiscPayload, [(3, "no")], "crash: expected a bool"),
 }
 
 
