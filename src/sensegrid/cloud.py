@@ -381,8 +381,9 @@ class EstimationReport:
 #
 # Each formula reads a window's payload columns, in payload field order, and
 # does not depend on row order: counts and `any` read whole columns, and
-# `_mean`, math.fsum(col) / len(col), is exactly statistics.fmean. It is the
-# one mean, used by the estimators and by the flat gateway.
+# `_mean`, math.fsum(col) / len(col), is exactly statistics.fmean wherever
+# that returns. It is the one mean, used by the estimators and by the flat
+# gateway.
 
 def _mean(column: Sequence[float]) -> float:
     try:

@@ -149,17 +149,25 @@ PAYLOAD_ROWS = {
         [(20.0, 50.0, "x"), (20.0, 101.0, 1.0)],
         "light: expected a number",
     ),
+    "huge_speed": (SpeedPayload, [(10**400,)], "vehicle_speed: too large for a float"),
+    "str_temperature": (EnvironmentPayload, [("hot", 50.0, 1.0)], "temperature: expected a number"),
     "huge_temperature": (
-        EnvironmentPayload, [(10**400, 50.0, 1.0)], "temperature: too large for a float"
+        EnvironmentPayload, [(-(10**400), 50.0, 1.0)], "temperature: too large for a float"
     ),
+    "str_humidity": (EnvironmentPayload, [(20.0, "50", 1.0)], "humidity: expected a number"),
+    "huge_light": (EnvironmentPayload, [(20.0, 50.0, 10**400)], "light: too large for a float"),
     "infinite_temperature_and_light_pass": (
         EnvironmentPayload, [(INF, 50.0, INF), (-INF, 50.0, NAN)], None
     ),
     "bool_lane_count": (VisionPayload, [(1, False), (True, False)], "lane_count: must be 1 or 2"),
+    "float_lane_count": (VisionPayload, [(1.0, False)], "lane_count: must be 1 or 2"),
     "str_distorted": (VisionPayload, [(1, "yes")], "distorted: expected a bool"),
+    "int_distorted": (VisionPayload, [(2, 1)], "distorted: expected a bool"),
+    "str_vehicle_count": (MiscPayload, [("3", False)], "vehicle_count: expected an integer"),
     "float_vehicle_count": (
         MiscPayload, [(1, False), (2.5, False)], "vehicle_count: expected an integer"
     ),
+    "bool_vehicle_count": (MiscPayload, [(True, False)], "vehicle_count: expected an integer"),
     "huge_vehicle_count": (
         MiscPayload, [(10**400, False)], "vehicle_count: too large for a float"
     ),
