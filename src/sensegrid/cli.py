@@ -166,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SenseGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a run too large for this process, such as a huge --queries
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -269,11 +269,6 @@ class CongestionThresholds:
             raise ConfigError("congestion thresholds: need 0 <= low_max < medium_max")
 
 
-def _require_thresholds(thresholds: object) -> None:
-    if not isinstance(thresholds, CongestionThresholds):
-        raise ConfigError("thresholds: expected a CongestionThresholds")
-
-
 # (test, what it expects) of each field of a result with data: a mean is
 # any number, as an infinite reading's mean may be inf
 _A_NUMBER = (_is_number, "a number")
@@ -444,7 +439,7 @@ def _environment(
 def _congestion(
     vehicle_count: Sequence[int], crash: Sequence[bool], thresholds: CongestionThresholds
 ) -> CongestionResult:
-    _require_thresholds(thresholds)
+    _require_type(thresholds, CongestionThresholds, "thresholds", ConfigError)
     if not vehicle_count:
         return CongestionResult(data_available=False)
     mean_count = _mean(vehicle_count)
@@ -519,7 +514,7 @@ def answer_centric_query(
     _require_type(query, CentricQuery, "query", QueryError)
     _require_type(cloud, Cloud, "cloud", WrongDatabaseError)
     _require_positive(segment_length, "segment_length")
-    _require_thresholds(thresholds)
+    _require_type(thresholds, CongestionThresholds, "thresholds", ConfigError)
     return _answer(
         query, lambda t: _window_columns(cloud.db(t), query.window, t), segment_length, thresholds
     )

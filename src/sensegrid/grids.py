@@ -97,8 +97,7 @@ def form_grids(
     so no N x N distance matrix is built.
     """
     _require_positive(threshold, "threshold")
-    if not isinstance(sensors, (list, tuple)):
-        raise ConfigError(f"sensors: expected a list or tuple, got {type(sensors).__name__}")
+    _require_type(sensors, (list, tuple), "sensors", ConfigError)
     if overrides is not None:
         _require_type(overrides, dict, "overrides", ConfigError)
         for sensor_type, node_id in overrides.items():

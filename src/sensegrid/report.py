@@ -90,6 +90,9 @@ def _json_float(value: float) -> str:
 
 
 def canonical_json(value) -> str:
+    """Sorted keys and floats at six decimals; TypeError for a value it cannot
+    write. A non-finite float is written bare (inf, -inf, nan), which is not
+    JSON: runs never produce one, but answers and traces built in code can."""
     out = []
     _write_canonical(value, out, 0)
     out.append("\n")
@@ -149,6 +152,7 @@ def _answered_list(answered: tuple[tuple[int, EstimationReport], ...]) -> list[d
 def serialize_trace(trace: SimulationTrace) -> str:
     """The canonical JSON of a trace: strategy, messages, compute events,
     grids (null for flat) and the answered reports with their ticks."""
+    _require_type(trace, SimulationTrace, "trace", ConfigError)
     messages, events = trace.messages, trace.compute_events
     if type(messages) is not _Messages:
         messages = _entry_dicts(messages, _MESSAGE_FIELDS, "trace.messages")

@@ -83,7 +83,6 @@ from .cloud import (
     SERVICE_SENSOR_TYPE,
     _answer,
     _mean,
-    _require_thresholds,
     answer_centric_query,
 )
 from .errors import ConfigError, RoutingError, SenseGridError, WorkloadError
@@ -110,7 +109,6 @@ from .workload import (
     ReadingRanges,
     Workload,
     _reading_columns,
-    _require_ranges,
     validate_workload,
 )
 
@@ -243,8 +241,7 @@ class SimulationTrace:
         if isinstance(self.messages, str) or not isinstance(self.messages, Sequence):
             raise ConfigError("trace.messages: expected a sequence of Message")
         for name in ("compute_events", "answered"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise ConfigError(f"trace.{name}: expected a tuple or list")
+            _require_type(getattr(self, name), (tuple, list), f"trace.{name}", ConfigError)
         if self.grid_set is not None:
             _require_type(self.grid_set, GridSet, "trace.grid_set", ConfigError)
 
@@ -392,8 +389,8 @@ def _answer_queries(
     then the rest in plan order), and only then answers each query with
     `cloud._answer` over its `_clipped` window's columns.
     """
-    _require_thresholds(thresholds)
-    _require_ranges(ranges)
+    _require_type(thresholds, CongestionThresholds, "thresholds", ConfigError)
+    _require_type(ranges, ReadingRanges, "ranges", ConfigError)
     sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
     for sensor in cfg.sensors:
         sensors_of[sensor.sensor_type].append(sensor)
@@ -605,8 +602,7 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     entry of an API-built trace that cannot be priced raises a ConfigError
     naming it."""
     _require_type(trace, SimulationTrace, "trace", ConfigError)
-    if not isinstance(params, CostParams):
-        raise ConfigError("cost_params: expected a CostParams")
+    _require_type(params, CostParams, "cost_params", ConfigError)
     messages = trace.messages
     if type(messages) is _Messages:
         items = messages._items

@@ -40,10 +40,13 @@ FLAT = "flat"
 STRATEGIES = (QCPS, FLAT)
 
 
-def _require_type(value: object, cls: type, name: str, error: type[SenseGridError]) -> None:
-    """Reject a whole argument that is not an instance of cls."""
+def _require_type(value: object, cls: type | tuple, name: str, error: type[SenseGridError]) -> None:
+    """Reject a whole argument that is not an instance of cls, a class or a
+    tuple of classes named in order ("expected a tuple or list")."""
     if not isinstance(value, cls):
-        raise error(f"{name}: expected a {cls.__name__}, got {type(value).__name__}")
+        *rest, last = [c.__name__ for c in cls] if isinstance(cls, tuple) else [cls.__name__]
+        kinds = f"{', '.join(rest)} or {last}" if rest else last
+        raise error(f"{name}: expected a {kinds}, got {type(value).__name__}")
 
 
 def _require_count(value: object, name: str, error: type[SenseGridError]) -> None:
@@ -186,10 +189,8 @@ class ScenarioConfig:
             raise ConfigError("duration_ticks: must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must fit in 64 unsigned bits")
-        if not isinstance(self.cost_params, CostParams):
-            raise ConfigError("cost_params: expected a CostParams")
-        if not isinstance(self.sensors, (tuple, list)):
-            raise ConfigError("sensors: expected a tuple of SensorNode")
+        _require_type(self.cost_params, CostParams, "cost_params", ConfigError)
+        _require_type(self.sensors, (tuple, list), "sensors", ConfigError)
         by_id: dict[str, SensorNode] = {}
         for i, s in enumerate(self.sensors):
             if not isinstance(s, SensorNode):
@@ -199,8 +200,7 @@ class ScenarioConfig:
             if s.node_id in _RESERVED_IDS:
                 raise ConfigError(f"sensors[{i}].id: {s.node_id!r} is a reserved site name")
             by_id[s.node_id] = s
-        if not isinstance(self.coordinator_overrides, dict):
-            raise ConfigError("coordinator_overrides: expected a dict")
+        _require_type(self.coordinator_overrides, dict, "coordinator_overrides", ConfigError)
         for sensor_type, node_id in self.coordinator_overrides.items():
             if not isinstance(sensor_type, SensorType):
                 raise ConfigError(
@@ -219,15 +219,19 @@ def distance(a: Position, b: Position) -> float:
     form is used deliberately: every distance in grids, elections and costs
     rounds the same way, and it never falls below sqrt(dx*dx), which the
     grid sweep relies on. Float squares that overflow give inf; integer
-    squares no float holds raise ConfigError.
+    squares no float holds raise ConfigError. Only a failing call checks a and b.
     """
-    dx = a.x - b.x
-    dy = a.y - b.y
-    dz = a.z - b.z
     try:
+        dx = a.x - b.x
+        dy = a.y - b.y
+        dz = a.z - b.z
         return math.sqrt(dx * dx + dy * dy + dz * dz)
     except OverflowError:
         raise ConfigError("distance: too large for a float") from None
+    except (AttributeError, TypeError):
+        _require_type(a, Position, "a", ConfigError)
+        _require_type(b, Position, "b", ConfigError)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +292,8 @@ def _check_sensor(entry: object, path: str) -> None:
 
 
 def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
-    """The JSON object that `text` holds; `name` starts each error. A key
-    repeated in any object raises instead of keeping its last value."""
+    """The JSON object in `text` (a str, bytes or bytearray); `name` starts each
+    error. A key repeated in any object raises instead of keeping its last value."""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -301,6 +305,7 @@ def _load_object(text: str, name: str, error: type[SenseGridError]) -> dict:
                 seen.add(key)
         return obj
 
+    _require_type(text, (str, bytes, bytearray), name, error)
     try:
         raw = json.loads(text, object_pairs_hook=unique_keys)
     # ValueError, JSONDecodeError's base, is also an int past the digit limit
@@ -399,6 +404,7 @@ def config_payload(cfg: ScenarioConfig) -> dict:
 
 def dump_topology(cfg: ScenarioConfig) -> str:
     """Serialize a config to JSON so that load_topology(dump_topology(c)) == c."""
+    _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
     return json.dumps(config_payload(cfg), indent=2)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass
 
 from .cloud import (
@@ -73,11 +74,6 @@ class ReadingRanges:
 DEFAULT_RANGES = ReadingRanges()
 
 
-def _require_ranges(ranges: object) -> None:
-    if not isinstance(ranges, ReadingRanges):
-        raise ConfigError("ranges: expected a ReadingRanges")
-
-
 def _stream(seed: int, *key_parts: object) -> random.Random:
     """A PRNG keyed by the seed plus an arbitrary identity tuple."""
     material = "|".join([str(seed), *map(str, key_parts)]).encode()
@@ -123,7 +119,7 @@ def generate_reading(
 ) -> Reading:
     """The reading a sensor produces at a tick; a pure function of its key."""
     _require_type(sensor, SensorNode, "sensor", ConfigError)
-    _require_ranges(ranges)
+    _require_type(ranges, ReadingRanges, "ranges", ConfigError)
     rng = _stream(seed, "reading", sensor.node_id, tick)
     values = _DRAW[sensor.sensor_type](rng, ranges)
     payload = PAYLOAD_TYPE[sensor.sensor_type](*values)
@@ -200,8 +196,10 @@ def generate_workload(
     drawn uniformly over distinct ordered sensor pairs from a keyed stream.
     """
     _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
-    _require_count(n_queries, "n_queries", WorkloadError)
-    _require_count(n_requests, "n_requests", WorkloadError)
+    for name, count in (("n_queries", n_queries), ("n_requests", n_requests)):
+        _require_count(count, name, WorkloadError)
+        if count > sys.maxsize:  # no list of that length can exist
+            raise WorkloadError(f"{name}: must be at most {sys.maxsize}")
     if seed is not None and (
         isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64
     ):
@@ -286,8 +284,7 @@ def validate_workload(workload: Workload, cfg: ScenarioConfig) -> None:
     but queries and requests are processed).
     """
     for name in ("queries", "requests"):
-        if not isinstance(getattr(workload, name), (tuple, list)):
-            raise WorkloadError(f"{name}: expected a tuple or list")
+        _require_type(getattr(workload, name), (tuple, list), name, WorkloadError)
     last_tick = max(0, cfg.duration_ticks - 1)
     known = {s.node_id for s in cfg.sensors}
     for i, entry in enumerate(workload.queries):

@@ -382,6 +382,37 @@ def test_topology_source_is_required(command):
     assert result.returncode != 0
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (("compare", "--testbed", "--queries", "100000000000000000000"), "n_queries"),
+        (("run", "--testbed", "--strategy", "qcps", "--requests", "100000000000000000000"),
+         "n_requests"),
+    ],
+    ids=["compare_queries", "run_requests"],
+)
+def test_counts_past_sys_maxsize_exit_2_before_anything_is_built(args, field):
+    assert _main(args) == (2, "", f"error: {field}: must be at most {sys.maxsize}\n")
+
+
+def test_a_run_out_of_memory_exits_2_without_a_traceback():
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():  # runs in the child alone, before exec
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    # 10**12 queries pass the sys.maxsize guard, so only memory stops them
+    result = subprocess.run(
+        [sys.executable, "-m", "sensegrid", "compare", "--testbed", "--format", "csv",
+         "--queries", "1000000000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
+
+
 _FUZZ_INPUTS = {
     "config": json.loads(dump_topology(builtin_testbed())),
     "workload": {

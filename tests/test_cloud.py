@@ -328,7 +328,7 @@ def test_estimator_arguments_of_the_wrong_type_raise_a_named_error(empty):
     ):
         with pytest.raises(ConfigError, match="^segment_length: expected a number$"):
             call()
-    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds$"):
+    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds, got NoneType$"):
         estimate_congestion(mdb, (0, 0), None)
 
 
@@ -408,7 +408,7 @@ def test_answers_check_segment_length_and_thresholds_whatever_the_services(empty
     for segment_length, message in (("600", "expected a number"), (0.0, "must be positive")):
         with pytest.raises(ConfigError, match=f"^segment_length: {message}$"):
             answer_centric_query(query, cloud, segment_length)
-    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds$"):
+    with pytest.raises(ConfigError, match="^thresholds: expected a CongestionThresholds, got NoneType$"):
         answer_centric_query(query, cloud, 600.0, None)
 
 

@@ -60,6 +60,7 @@ from sensegrid import (
     form_grids,
     generate_workload,
     load_topology,
+    load_workload,
     route_sensor_request,
     route_user_query,
     run_scenario,
@@ -672,12 +673,32 @@ def test_answers_match_oracle_with_non_default_settings(testbed, thresholds, lev
         (lambda cfg: compare_strategies(cfg, {"queries": ()}), WorkloadError, "workload"),
         (lambda cfg: compare_strategies("x", Workload()), ConfigError, "cfg"),
         (lambda cfg: generate_workload(None, 1, 1), ConfigError, "cfg"),
+        (lambda cfg: distance(None, cfg.sensors[0].position), ConfigError, "a"),
+        (lambda cfg: distance(cfg.sensors[0].position, cfg.sensors[0]), ConfigError, "b"),
+        (lambda cfg: dump_topology(None), ConfigError, "cfg"),
+        (lambda cfg: serialize_trace(None), ConfigError, "trace"),
+        (lambda cfg: load_topology(None), ConfigError, "config"),
+        (lambda cfg: load_workload(None), WorkloadError, "workload"),
     ],
-    ids=["run_workload", "run_cfg", "compare_workload", "compare_cfg", "generate_cfg"],
+    ids=[
+        "run_workload", "run_cfg", "compare_workload", "compare_cfg", "generate_cfg",
+        "distance_a", "distance_b", "dump_cfg", "serialize_trace", "load_config", "load_workload",
+    ],
 )
 def test_arguments_of_the_wrong_type_raise_a_named_error(testbed, call, error, argument):
     with pytest.raises(error, match=rf"^{argument}: expected a "):
         call(testbed)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_config_and_workload_texts_load_from_their_utf8_bytes(testbed, kind):
+    # json.loads takes these too, so the loaders accept what it accepts
+    texts = (
+        (load_topology, dump_topology(testbed)),
+        (load_workload, json.dumps({"queries": [{"tick": 3, "services": ["environment"]}]})),
+    )
+    for load, text in texts:
+        assert load(kind(text.encode())) == load(text)
 
 
 @pytest.fixture
@@ -1538,7 +1559,7 @@ def test_velocity_answer_whose_speed_sum_overflows_is_finite(testbed):
 
 
 def test_cost_of_rejects_cost_params_of_the_wrong_type():
-    with pytest.raises(ConfigError, match="^cost_params: expected a CostParams$"):
+    with pytest.raises(ConfigError, match="^cost_params: expected a CostParams, got NoneType$"):
         cost_of(_ONE_OF_EACH, None)
 
 
@@ -1645,8 +1666,8 @@ def test_negative_zero_prices_print_one_zero_in_every_format(testbed):
         ({"strategy": None}, "trace.strategy: expected a str, got NoneType"),
         ({"messages": None}, "trace.messages: expected a sequence of Message"),
         ({"messages": "abc"}, "trace.messages: expected a sequence of Message"),
-        ({"compute_events": None}, "trace.compute_events: expected a tuple or list"),
-        ({"answered": None}, "trace.answered: expected a tuple or list"),
+        ({"compute_events": None}, "trace.compute_events: expected a tuple or list, got NoneType"),
+        ({"answered": None}, "trace.answered: expected a tuple or list, got NoneType"),
         ({"grid_set": ()}, "trace.grid_set: expected a GridSet, got tuple"),
     ],
     ids=["strategy", "no_messages", "str_messages", "compute_events", "answered", "grid_set"],

@@ -445,7 +445,7 @@ def test_value_types_reject_non_numbers(case):
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"sensors": None}, r"^sensors: expected a tuple of SensorNode"),
+        ({"sensors": None}, r"^sensors: expected a tuple or list, got NoneType$"),
         (
             {"sensors": (*builtin_testbed().sensors, "VS_9")},
             r"^sensors\[16\]: expected a SensorNode",

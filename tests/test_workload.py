@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,9 @@ def test_workload_empty_counts(testbed):
         ((-1, 0), "n_queries"),
         ((0, 1.0), "n_requests"),
         ((0, False), "n_requests"),
+        # past sys.maxsize no list can hold the events: rejected before any is built
+        ((sys.maxsize + 1, 0), "n_queries"),
+        ((0, 10**400), "n_requests"),
         ((1, 1, True), "seed"),
         ((1, 1, -1), "seed"),
         ((1, 1, 1.5), "seed"),
@@ -340,7 +344,7 @@ def test_validate_workload_checks_ids_and_ticks(testbed):
             validate_workload(Workload(requests=((tick, "VS_1", "ES_2"),)), testbed)
     # containers must be sequences: a generator would be consumed by the check
     for field in ("queries", "requests"):
-        with pytest.raises(WorkloadError, match=rf"^{field}: expected a tuple or list$"):
+        with pytest.raises(WorkloadError, match=rf"^{field}: expected a tuple or list, got tuple_iterator$"):
             validate_workload(Workload(**{field: iter(())}), testbed)
     for entry in ((1, "x"), (1,), (1, query, query), query):
         with pytest.raises(WorkloadError, match=r"^queries\[0\]: expected a \(tick, "):
@@ -403,7 +407,7 @@ _SENSOR = SensorNode("SS_1", SensorType.SPEED, Position(0, 0, 0))
     [
         ((None, 0, 1), "sensor: expected a SensorNode, got NoneType"),
         (("VS_1", 0, 1), "sensor: expected a SensorNode, got str"),
-        ((_SENSOR, 0, 1, None), "ranges: expected a ReadingRanges"),
+        ((_SENSOR, 0, 1, None), "ranges: expected a ReadingRanges, got NoneType"),
         ((_SENSOR, "x", 1), "reading tick: expected an integer"),
         ((_SENSOR, True, 1), "reading tick: expected an integer"),
     ],
