@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
-from .topology import SensorType, _require_positive, _require_real, _require_type
+from .topology import SensorType, _require_count, _require_positive, _require_real, _require_type
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,7 @@ class Reading:
     def __post_init__(self) -> None:
         if not isinstance(self.sensor_id, str) or not self.sensor_id:
             raise ConfigError("reading sensor_id: expected a non-empty string")
-        if isinstance(self.tick, bool) or not isinstance(self.tick, int):
-            raise ConfigError("reading tick: expected an integer")
-        if self.tick < 0:
-            raise ConfigError("reading tick: must be non-negative")
+        _require_count(self.tick, "reading tick", ConfigError)
         if not isinstance(self.payload, Payload):
             raise ConfigError(
                 f"reading payload: expected a Payload, got {type(self.payload).__name__}"

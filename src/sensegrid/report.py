@@ -182,8 +182,6 @@ def _write_messages(messages: _Messages, out: list[str], indent: int) -> None:
     parts = "".join(layout).split("-1")  # fixed texts, one message after the other
     head, *within, between = parts[: len(parts) // 2 + 1]
     keys = [text.split('"')[-2] for text in (head, *within)]
-    # an item's text alternates fixed texts and gaps, a row's id and tick
-    id_at = 1 + 2 * (keys.index("msg_id") > keys.index("tick"))
 
     def cut(rows) -> list[str]:
         pieces, run = [], []
@@ -207,7 +205,8 @@ def _write_messages(messages: _Messages, out: list[str], indent: int) -> None:
                 blocks[id(block)] = cut(block.rows)
             text = [str(tick)] * (4 * n + 1)
             text[::2] = blocks[id(block)]
-            text[id_at::4] = map(str, range(end - n, end))
+            # each row's gaps hold its id, then its tick: "msg_id" sorts first
+            text[1::4] = map(str, range(end - n, end))
             out.append(between if end > n else head)
             out.append("".join(text))
     out.append(parts[-1] if messages else "[]")

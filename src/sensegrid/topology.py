@@ -178,17 +178,13 @@ class ScenarioConfig:
     coordinator_overrides: dict[SensorType, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("duration_ticks", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}: expected an integer")
+        _require_count(self.duration_ticks, "duration_ticks", ConfigError)
+        _require_count(self.seed, "seed", ConfigError)
+        if self.seed >= 2**64:
+            raise ConfigError("seed: must fit in 64 unsigned bits")
         for name in ("threshold", "segment_length"):
             _require_finite(getattr(self, name), name)
             _require_positive(getattr(self, name), name)
-        if self.duration_ticks < 0:
-            raise ConfigError("duration_ticks: must be non-negative")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed: must fit in 64 unsigned bits")
         _require_type(self.cost_params, CostParams, "cost_params", ConfigError)
         _require_type(self.sensors, (tuple, list), "sensors", ConfigError)
         by_id: dict[str, SensorNode] = {}

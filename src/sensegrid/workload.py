@@ -200,10 +200,10 @@ def generate_workload(
         _require_count(count, name, WorkloadError)
         if count > sys.maxsize:  # no list of that length can exist
             raise WorkloadError(f"{name}: must be at most {sys.maxsize}")
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64
-    ):
-        raise WorkloadError("seed: expected an integer that fits in 64 unsigned bits")
+    if seed is not None:
+        _require_count(seed, "seed", WorkloadError)
+        if seed >= 2**64:
+            raise WorkloadError("seed: must fit in 64 unsigned bits")
     if (n_queries or n_requests) and cfg.duration_ticks <= 0:
         raise WorkloadError("cannot schedule events in a zero-tick scenario")
     if n_requests and len(cfg.sensors) < 2:

@@ -395,6 +395,14 @@ def test_counts_past_sys_maxsize_exit_2_before_anything_is_built(args, field):
     assert _main(args) == (2, "", f"error: {field}: must be at most {sys.maxsize}\n")
 
 
+@pytest.mark.parametrize(
+    "flag, field", [("--ticks", "duration_ticks"), ("--seed", "seed")], ids=["ticks", "seed"]
+)
+def test_a_negative_tick_count_or_seed_exits_2_naming_the_field(flag, field):
+    args = ("compare", "--testbed", flag, "-1")
+    assert _main(args) == (2, "", f"error: {field}: expected a non-negative integer\n")
+
+
 def test_a_run_out_of_memory_exits_2_without_a_traceback():
     resource = pytest.importorskip("resource")
 

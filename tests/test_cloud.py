@@ -384,9 +384,9 @@ _SPEED_PAYLOAD = SpeedPayload(25.0)
             WrongDatabaseError,
             "reading: expected a Reading, got SpeedPayload",
         ),
-        (lambda: Reading("a", "x", _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
-        (lambda: Reading("a", True, _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
-        (lambda: Reading("a", 1.0, _SPEED_PAYLOAD), ConfigError, "reading tick: expected an integer"),
+        (lambda: Reading("a", "x", _SPEED_PAYLOAD), ConfigError, "reading tick: expected a non-negative integer"),
+        (lambda: Reading("a", True, _SPEED_PAYLOAD), ConfigError, "reading tick: expected a non-negative integer"),
+        (lambda: Reading("a", 1.0, _SPEED_PAYLOAD), ConfigError, "reading tick: expected a non-negative integer"),
         (lambda: database_for("x"), ConfigError, "sensor_type: expected a SensorType, got str"),
         (lambda: database_for(None), ConfigError, "sensor_type: expected a SensorType, got NoneType"),
         (lambda: CloudDatabase("vision"), ConfigError, "sensor_type: expected a SensorType, got str"),
@@ -432,7 +432,7 @@ def test_estimators_reject_a_malformed_window(sensor_type, empty):
     [
         ((None, 0, _SPEED_PAYLOAD), "reading sensor_id: expected a non-empty string"),
         (("", 0, _SPEED_PAYLOAD), "reading sensor_id: expected a non-empty string"),
-        (("a", -1, _SPEED_PAYLOAD), "reading tick: must be non-negative"),
+        (("a", -1, _SPEED_PAYLOAD), "reading tick: expected a non-negative integer"),
         (("a", 0, None), "reading payload: expected a Payload, got NoneType"),
         (("a", 0, 3.0), "reading payload: expected a Payload, got float"),
     ],

@@ -331,9 +331,9 @@ def test_sensor_id_may_not_alias_a_reserved_site(reserved):
 )
 def test_integer_fields_must_be_integers(field, value):
     sensors = builtin_testbed().sensors
-    with pytest.raises(ConfigError, match=rf"^{field}: expected an integer$"):
+    with pytest.raises(ConfigError, match=rf"^{field}: expected a non-negative integer$"):
         ScenarioConfig(sensors=sensors, threshold=10, **{field: value})
-    with pytest.raises(ConfigError, match=rf"^config\.{field}: expected an integer$"):
+    with pytest.raises(ConfigError, match=rf"^config\.{field}: expected a non-negative integer$"):
         load_topology(json.dumps(_testbed_json(**{field: value})))
 
 

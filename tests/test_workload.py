@@ -408,8 +408,8 @@ _SENSOR = SensorNode("SS_1", SensorType.SPEED, Position(0, 0, 0))
         ((None, 0, 1), "sensor: expected a SensorNode, got NoneType"),
         (("VS_1", 0, 1), "sensor: expected a SensorNode, got str"),
         ((_SENSOR, 0, 1, None), "ranges: expected a ReadingRanges, got NoneType"),
-        ((_SENSOR, "x", 1), "reading tick: expected an integer"),
-        ((_SENSOR, True, 1), "reading tick: expected an integer"),
+        ((_SENSOR, "x", 1), "reading tick: expected a non-negative integer"),
+        ((_SENSOR, True, 1), "reading tick: expected a non-negative integer"),
     ],
     ids=["no_sensor", "sensor_id", "no_ranges", "str_tick", "bool_tick"],
 )
