@@ -119,12 +119,12 @@ def cmd_form_grids(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .report import build_run_report, canonical_json, cost_csv
-    from .simulate import _answer_queries, _price
+    from .simulate import _answer_queries, _run, _sum_costs
 
     cfg = _load_config(args)
     workload = _load_workload(args, cfg)
-    grids, cost = _price(cfg, workload, args.strategy)
-    costs = {args.strategy: cost}
+    [(grids, items, events)] = _run(cfg, workload, args.strategy)
+    costs = {args.strategy: _sum_costs(args.strategy, items, events, cfg.cost_params)}
     if args.format == "csv":  # costs only: no answers, and flat forms no grids
         _emit(cost_csv(costs), args.out)
         return 0

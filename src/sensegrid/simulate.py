@@ -21,9 +21,9 @@ transmission rows (src, dst, medium, purpose, wireless distance), all sent
 at the item's tick. Rows repeat, so blocks are built once and shared: qcps
 builds one report block per run and yields it every tick and one query
 block that every query shares; flat computes each sensor's round trip with
-the gateway once per run, makes a query's polling block of the trips of its
-sensor types and yields it once per window tick; and each request has a
-small block of its own.
+the gateway once per run, makes one polling block of the trips of each set
+of sensor types that queries poll and yields a query's block once per
+window tick; and each request has a small block of its own.
 Both walk one schedule, the workload's events sorted by tick, and a run's
 compute events come from that schedule alone, before any block is built:
 one computation operation per requested service of a query, at the cloud
@@ -32,17 +32,17 @@ cloud under qcps and at its target under flat. A zero-tick run sends no
 report but still serves its tick-0 events. Traces are a pure function of
 (config, workload, strategy).
 
-`_run` hands out that stream and is the one place that checks the strategy,
-the config and the workload; everything else is a pass over it.
+`_run` hands out that stream, one run per strategy it is given, and is the
+one place that checks the strategies, the config and the workload: once per
+call, whatever strategies it yields. Everything else is a pass over it.
 `run_scenario` keeps the items as they are: a runner trace's `messages` is
 a read-only sequence over their rows, and `msg_id` is a row's emission
 index, so a `Message` is built only when one is read.
 Costs are counts and sums, one pass with constant state: each block carries
 its wireless distances, which are added in row order by `functools.reduce`
 (the same sequential `+` as a loop, so the floats are bit-identical).
-`cost_of` prices a trace (a runner trace straight from its blocks), and
-`_price`, shared by `compare_strategies` and the CLI's `run`, prices the
-items as they are generated, building no trace.
+`_sum_costs` prices a trace's blocks for `cost_of`, and `_run`'s items for
+`compare_strategies` and the CLI's `run` as they are generated, with no trace.
 
 Query answers are strategy-independent: under either strategy a query is
 answered from the readings its sensors sensed inside its window up to the
@@ -470,49 +470,52 @@ def run_scenario(
     """Execute one strategy over the workload and return the full trace,
     with the query answers, which both strategies share. The trace keeps
     the transmission blocks and builds no message until one is read."""
-    grid_set, items, events = _run(cfg, workload, strategy)
+    [(grid_set, items, events)] = _run(cfg, workload, strategy)
     answered = _answer_queries(cfg, workload, thresholds, ranges)
     messages = _Messages(tuple(items))
     return SimulationTrace(strategy, messages, tuple(events), grid_set, answered)
 
 
-def _run(cfg: ScenarioConfig, workload: Workload, strategy: str):
-    """(grid set, transmission items, compute events) of one strategy.
+def _run(cfg: ScenarioConfig, workload: Workload, *strategies: str):
+    """Yield (grid set, transmission items, compute events) per strategy, in turn.
 
-    The items are a generator of (tick, block) in emission order; each row
-    of a block is (src, dst, medium, purpose, distance), and infrastructure
-    rows carry 0.0. Both runners walk one schedule: the workload's
-    (tick, query) and (tick, requester, target) entries stably sorted by
-    tick, so queries come before requests at a tick, each in input order.
-    The compute events are a list complete on return, one per requested
-    service of a query and one per request, at the sites the module
-    docstring names.
+    A call checks the strategies, the config and the workload and sorts the
+    schedule once; a strategy's own steps (qcps's grids, flat's window rule)
+    run only when its tuple is taken. Its items are a generator of (tick,
+    block) in emission order, each row (src, dst, medium, purpose, distance)
+    with 0.0 for infrastructure. Both runners walk the schedule: the entries
+    (tick, query) and (tick, requester, target) stably sorted by tick. The
+    compute events are a list, one per requested service of a query and one
+    per request, at the sites the module docstring names.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
     _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
     _require_type(workload, Workload, "workload", WorkloadError)
     _check_extent(cfg.sensors)
     validate_workload(workload, cfg)
     schedule = sorted([*workload.queries, *workload.requests], key=operator.itemgetter(0))
-    events = []
-    for tick, *event in schedule:
-        if len(event) == 1:  # a query; a request is (requester, target)
-            site = CLOUD_SITE if strategy == QCPS else GATEWAY_SITE
-            events.extend(ComputeEvent(tick, site) for _ in event[0].requested_services)
-        else:
-            events.append(ComputeEvent(tick, CLOUD_SITE if strategy == QCPS else event[1]))
-    if strategy == QCPS:
-        grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
-        return grids, _qcps_legs(cfg, schedule, grids), events
-    for _, query in workload.queries:  # flat repeats a query's block per window tick
-        start, end = query.window
-        if end - start + 1 > sys.maxsize:
-            raise WorkloadError(
-                f"query {query.query_id}: window {query.window} spans more than "
-                f"{sys.maxsize} ticks"
-            )
-    return None, _flat_legs(cfg, schedule), events
+    for strategy in strategies:
+        events = []
+        for tick, *event in schedule:
+            if len(event) == 1:  # a query; a request is (requester, target)
+                site = CLOUD_SITE if strategy == QCPS else GATEWAY_SITE
+                events.extend(ComputeEvent(tick, site) for _ in event[0].requested_services)
+            else:
+                events.append(ComputeEvent(tick, CLOUD_SITE if strategy == QCPS else event[1]))
+        if strategy == QCPS:
+            grids = form_grids(cfg.sensors, cfg.threshold, cfg.coordinator_overrides)
+            yield grids, _qcps_legs(cfg, schedule, grids), events
+            continue
+        for _, query in workload.queries:  # flat repeats a query's block per window tick
+            start, end = query.window
+            if end - start + 1 > sys.maxsize:
+                raise WorkloadError(
+                    f"query {query.query_id}: window {query.window} spans more than "
+                    f"{sys.maxsize} ticks"
+                )
+        yield None, _flat_legs(cfg, schedule), events
 
 
 def _check_extent(sensors: tuple[SensorNode, ...]) -> None:
@@ -583,14 +586,16 @@ def _flat_legs(cfg: ScenarioConfig, schedule: list[tuple]):
         (s.sensor_type, _round_trip(GATEWAY_SITE, s.node_id, distance(gateway, s.position)))
         for s in cfg.sensors
     ]
+    polling = {}  # the sensor types a query polls -> their round trips' block
     for tick, *event in schedule:
         if len(event) == 1:
             query = event[0]
-            types = {SERVICE_SENSOR_TYPE[service] for service in query.requested_services}
-            polling = _block(row for kind, trip in trips if kind in types for row in trip)
+            types = frozenset(SERVICE_SENSOR_TYPE[service] for service in query.requested_services)
+            if types not in polling:
+                polling[types] = _block(row for kind, trip in trips if kind in types for row in trip)
             start, end = query.window
             # the same round trips once per tick of the window
-            yield from repeat((tick, polling), end - start + 1)
+            yield from repeat((tick, polling[types]), end - start + 1)
         else:
             requester, target = event
             hop = distance(by_id[requester].position, by_id[target].position)
@@ -623,12 +628,6 @@ def cost_of(trace: SimulationTrace, params: CostParams) -> CostReport:
     return _sum_costs(trace.strategy, items, trace.compute_events, params)
 
 
-def _price(cfg: ScenarioConfig, workload: Workload, strategy: str):
-    """(grid set, costs) of one strategy: one pass over its items, no trace."""
-    grid_set, items, events = _run(cfg, workload, strategy)
-    return grid_set, _sum_costs(strategy, items, events, cfg.cost_params)
-
-
 def _sum_costs(
     strategy: str,
     items: Iterable[tuple[object, _Block]],
@@ -636,7 +635,7 @@ def _sum_costs(
     params: CostParams,
 ) -> CostReport:
     """One pass over the (tick, block) items in emission order, then the
-    compute events; both strategies and both callers price runs here. Each
+    compute events; both strategies and every caller price runs here. Each
     block's wireless distances are added in row order, one `+` at a time.
     A price whose cost of a finite quantity overflows a float, or a total
     that does, raises a `ConfigError` naming it."""
@@ -688,4 +687,7 @@ def compare_strategies(cfg: ScenarioConfig, workload: Workload) -> CostCompariso
     events, so this builds no message and no trace. Query answers are
     strategy-independent and do not enter the costs, so it computes none;
     `run_scenario` answers the queries once per run."""
-    return CostComparison(_price(cfg, workload, QCPS)[1], _price(cfg, workload, FLAT)[1])
+    strategies = (QCPS, FLAT)
+    runs = zip(strategies, _run(cfg, workload, *strategies))
+    costs = [_sum_costs(s, items, events, cfg.cost_params) for s, (_, items, events) in runs]
+    return CostComparison(*costs)

@@ -353,7 +353,7 @@ def test_trace_messages_act_as_the_tuple_of_numbered_rows(testbed, strategy):
     workload = generate_workload(testbed, 6, 4)
     rows = [
         (tick, *row)
-        for tick, block in simulate._run(testbed, workload, strategy)[1]
+        for tick, block in next(simulate._run(testbed, workload, strategy))[1]
         for row in block.rows
     ]
     expected = tuple(Message(i, *row) for i, row in enumerate(rows))
@@ -723,6 +723,20 @@ def test_compare_generates_each_reading_once(testbed, generated):
     assert generated == []
 
 
+def test_compare_checks_its_run_once(testbed, monkeypatch):
+    # both strategies come from one `_run`, which checks the run once
+    calls = Counter()
+    for name in ("validate_workload", "_check_extent"):
+
+        def counting(*args, name=name, real=getattr(simulate, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, counting)
+    compare_strategies(testbed, generate_workload(testbed, 6, 4))
+    assert calls == {"validate_workload": 1, "_check_extent": 1}
+
+
 @pytest.mark.parametrize("strategy", [FLAT, QCPS])
 def test_flat_generates_only_its_clipped_windows(testbed, generated, strategy):
     cfg = dataclasses.replace(testbed, duration_ticks=12)
@@ -745,6 +759,16 @@ def test_flat_generates_only_its_clipped_windows(testbed, generated, strategy):
         )
     assert len(generated) == len(set(generated))
     assert set(generated) == expected
+
+
+def test_flat_shares_one_polling_block_per_service_set(testbed):
+    workload = _queries(
+        (1, (ENV, SPEED), (0, 1)), (2, ALL, (0, 2)), (3, (SPEED, ENV), (1, 3)), (4, ALL, (2, 2))
+    )
+    # the items stay alive while their ids are counted, so no id is reused
+    items = tuple(next(simulate._run(testbed, workload, FLAT))[1])
+    assert len(items) == 2 + 3 + 3 + 1
+    assert len({id(block) for _, block in items}) == 2
 
 
 @st.composite
@@ -1049,7 +1073,8 @@ def test_runs_emit_the_stream_the_docstring_describes(scenario):
         assert tuple(trace.messages) == expected.messages
         assert trace.compute_events == expected.compute_events
         costs = resum_costs(expected)
-        price = simulate._price(cfg, workload, strategy)[1]
+        _, items, events = next(simulate._run(cfg, workload, strategy))
+        price = simulate._sum_costs(strategy, items, events, cfg.cost_params)
         assert {name: getattr(price, name) for name in costs} == costs
 
 
@@ -1334,7 +1359,7 @@ def test_zero_length_blocks_keep_the_messages_aligned(testbed, case):
     cfg = dataclasses.replace(
         testbed, sensors=tuple(filter(keep, testbed.sensors)), duration_ticks=4
     )
-    items = tuple(simulate._run(cfg, workload, strategy)[1])
+    items = tuple(next(simulate._run(cfg, workload, strategy))[1])
     rows = [(tick, *row) for tick, block in items for row in block.rows]
     expected = tuple(Message(i, *row) for i, row in enumerate(rows))
     trace = run_scenario(cfg, workload, strategy)
@@ -2262,6 +2287,18 @@ def test_flat_rejects_a_window_longer_than_a_sequence_can_be(testbed):
     with pytest.raises(WorkloadError, match=message):
         compare_strategies(cfg, workload)
     assert len(run_scenario(cfg, workload, QCPS).messages) == 98
+
+
+def test_compare_raises_qcps_errors_before_flat_checks_its_windows(testbed):
+    # each strategy's own steps run in turn: qcps's cost overflows before
+    # flat's window is checked
+    cost_params = CostParams(wireless_cost_per_unit_distance=1e308)
+    cfg = dataclasses.replace(testbed, duration_ticks=3, cost_params=cost_params)
+    workload = _queries((1, (ENV,), (0, sys.maxsize)))
+    with pytest.raises(ConfigError, match="^cost_params.wireless_cost_per_unit_distance: "):
+        compare_strategies(cfg, workload)
+    with pytest.raises(WorkloadError, match="spans more than"):
+        run_scenario(cfg, workload, FLAT)
 
 
 # any code point, lone surrogates too, with the ones JSON escapes drawn often
