@@ -23,7 +23,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, QueryError, WrongDatabaseError
-from .topology import SensorType, _require_count, _require_positive, _require_real, _require_type
+from .topology import (
+    SensorType, _require_count, _require_positive, _require_real, _require_type, _shown,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +211,9 @@ _SERVICE_BY_NAME = {s.value: s for s in Service}
 def service_from_name(name: str) -> Service:
     if isinstance(name, str) and name in _SERVICE_BY_NAME:
         return _SERVICE_BY_NAME[name]
-    # a non-str is named by its type: the repr of an int past the digit limit raises
-    shown = repr(name) if isinstance(name, str) else f"of type {type(name).__name__}"
-    raise QueryError(f"unknown service {shown}; expected one of {sorted(_SERVICE_BY_NAME)}")
+    raise QueryError(
+        f"unknown service {_shown(name)}; expected one of {sorted(_SERVICE_BY_NAME)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ class CentricQuery:
             raise QueryError(prefix + "requested_services must be non-empty")
         for service in self.requested_services:
             if not isinstance(service, Service):
-                raise QueryError(f"{prefix}requested_services: {service!r} is not a Service")
+                raise QueryError(f"{prefix}requested_services: {_shown(service)} is not a Service")
         if len(set(self.requested_services)) != len(self.requested_services):
             raise QueryError(prefix + "duplicate service requested")
         _require_window(self.window, prefix)

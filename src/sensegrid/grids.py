@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, OverrideError
 from .topology import (
-    SensorNode, SensorType, _require_override, _require_positive, _require_type, distance,
+    SensorNode, SensorType, _require_overrides, _require_positive, _require_type, _shown, distance,
 )
 
 MEDOID = "medoid"
@@ -73,8 +73,8 @@ class GridSet:
     def grid_for(self, node_id: str) -> Grid:
         try:
             return self._grid_by_member[node_id]
-        except KeyError:
-            raise ConfigError(f"node {node_id!r} is not covered by this grid set") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise ConfigError(f"node {_shown(node_id)} is not covered by this grid set") from None
 
     def coordinator_of(self, node_id: str) -> str:
         return self.grid_for(node_id).coordinator
@@ -98,20 +98,14 @@ def form_grids(
     """
     _require_positive(threshold, "threshold")
     _require_type(sensors, (list, tuple), "sensors", ConfigError)
-    if overrides is not None:
-        _require_type(overrides, dict, "overrides", ConfigError)
-        for sensor_type, node_id in overrides.items():
-            _require_type(sensor_type, SensorType, "overrides key", ConfigError)
-            _require_type(node_id, str, f"overrides.{sensor_type.value}", ConfigError)
 
     by_type: dict[SensorType, list[int]] = {}
     for i, sensor in enumerate(sensors):
         _require_type(sensor, SensorNode, f"sensors[{i}]", ConfigError)
         by_type.setdefault(sensor.sensor_type, []).append(i)
     by_id = {s.node_id: s for s in sensors}
-    overrides = overrides or {}
-    for sensor_type, node_id in overrides.items():
-        _require_override(sensor_type, node_id, by_id, "overrides")
+    overrides = {} if overrides is None else overrides
+    _require_overrides(overrides, by_id, "overrides")
     # union-find with path halving; which root a union keeps never shows
     parent = list(range(len(sensors)))
 
@@ -196,7 +190,7 @@ def elect_coordinator_ids(
     if override is not None:
         if override not in members:
             raise OverrideError(
-                f"override {override!r} is not a member of grid {min(members)!r}"
+                f"override {_shown(override)} is not a member of grid {min(members)!r}"
             )
         return override
     ordered = sorted(members)

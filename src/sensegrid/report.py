@@ -123,7 +123,7 @@ def cost_dict(report: CostReport) -> dict:
 def _require_costs(costs: dict[str, CostReport]) -> None:
     _require_type(costs, dict, "costs", ConfigError)
     for strategy, report in costs.items():
-        _require_type(strategy, str, f"costs key {strategy!r}", ConfigError)
+        _require_type(strategy, str, "costs key", ConfigError)
         _require_type(report, CostReport, f"costs.{strategy}", ConfigError)
 
 

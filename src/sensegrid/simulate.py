@@ -102,6 +102,7 @@ from .topology import (
     _require_count,
     _require_finite,
     _require_type,
+    _shown,
     distance,
 )
 from .workload import (
@@ -364,11 +365,11 @@ def _clipped(cfg: ScenarioConfig, tick: int, query: CentricQuery) -> range:
     return range(start, min(end, tick, cfg.duration_ticks - 1) + 1)
 
 
-def _plan(cfg: ScenarioConfig, workload: Workload) -> list[tuple[SensorType, int]]:
-    """The distinct (sensor type, tick) batches the answers read, in first-read order."""
+def _plan(cfg: ScenarioConfig, queries: list[tuple]) -> list[tuple[SensorType, int]]:
+    """The distinct (sensor type, tick) batches tick-sorted queries read, in first-read order."""
     return list(dict.fromkeys(
         (SERVICE_SENSOR_TYPE[service], t)
-        for tick, query in sorted(workload.queries, key=lambda entry: entry[0])
+        for tick, query in queries
         for service in query.requested_services
         for t in _clipped(cfg, tick, query)
     ))
@@ -384,22 +385,21 @@ def _answer_queries(
 
     Answers are strategy-independent, so this is the one answer path:
     `run_scenario` and the CLI's `run` call it once per run, and
-    `compare_strategies` never does. It plans the batches, generates each
-    once into a store (on two processes when `_generate_forked` may run,
-    then the rest in plan order), and only then answers each query with
-    `cloud._answer` over its `_clipped` window's columns.
+    `compare_strategies` never does. It sorts the queries once, plans their
+    batches, generates each once into a store (on two processes when
+    `_generate_forked` may run, then the rest in plan order), and only then
+    answers each query with `cloud._answer` over its `_clipped` window's columns.
     """
     _require_type(thresholds, CongestionThresholds, "thresholds", ConfigError)
     _require_type(ranges, ReadingRanges, "ranges", ConfigError)
-    sensors_of: dict[SensorType, list[SensorNode]] = {t: [] for t in SensorType}
-    for sensor in cfg.sensors:
-        sensors_of[sensor.sensor_type].append(sensor)
+    sensors_of = {t: [s for s in cfg.sensors if s.sensor_type is t] for t in SensorType}
 
     def generate(key: tuple[SensorType, int]) -> list:
         return _reading_columns(sensors_of[key[0]], key[1], cfg.seed, ranges)
 
     store: dict[tuple[SensorType, int], list] = {}
-    plan = _plan(cfg, workload)
+    queries = sorted(workload.queries, key=operator.itemgetter(0))
+    plan = _plan(cfg, queries)
     affinity = getattr(os, "sched_getaffinity", None)
     if (
         sum(len(sensors_of[t]) for t, _ in plan) >= _FORK_MIN_READINGS
@@ -412,7 +412,7 @@ def _answer_queries(
         if key not in store:
             store[key] = generate(key)
     answered = []
-    for tick, query in sorted(workload.queries, key=lambda entry: entry[0]):
+    for tick, query in queries:
         columns_of = partial(_batch_columns, store, _clipped(cfg, tick, query))
         answered.append((tick, _answer(query, columns_of, cfg.segment_length, thresholds)))
     return tuple(answered)
@@ -490,7 +490,7 @@ def _run(cfg: ScenarioConfig, workload: Workload, *strategies: str):
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
-            raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
+            raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {_shown(strategy)}")
     _require_type(cfg, ScenarioConfig, "cfg", ConfigError)
     _require_type(workload, Workload, "workload", WorkloadError)
     _check_extent(cfg.sensors)

@@ -86,18 +86,25 @@ def _finite_floats(x: object, y: object, z: object) -> bool:
     return type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)
 
 
-def _require_override(
-    sensor_type: SensorType, node_id: object, by_id: dict, prefix: str
-) -> None:
-    """Reject an override of a type's coordinator that names no sensor in
-    by_id, or a sensor of another type."""
-    node = by_id.get(node_id) if isinstance(node_id, str) else None
-    if node is None:
-        raise ConfigError(f"{prefix}.{sensor_type.value}: unknown sensor {node_id!r}")
-    if node.sensor_type is not sensor_type:
-        raise ConfigError(
-            f"{prefix}.{sensor_type.value}: {node_id!r} is a {node.sensor_type.value} sensor"
-        )
+def _shown(value: object) -> str:
+    """How an error names a value of unchecked kind: a str by its repr, anything
+    else by its type, since the repr of an int past the digit limit raises."""
+    return repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
+
+
+def _require_overrides(overrides: object, by_id: dict, name: str) -> None:
+    """Reject an override map that is not a dict pinning each SensorType to
+    the id of a sensor of that type in by_id; kinds are checked before an id is named."""
+    _require_type(overrides, dict, name, ConfigError)
+    for sensor_type, node_id in overrides.items():
+        _require_type(sensor_type, SensorType, f"{name} key", ConfigError)
+        path = f"{name}.{sensor_type.value}"
+        _require_type(node_id, str, path, ConfigError)
+        node = by_id.get(node_id)
+        if node is None:
+            raise ConfigError(f"{path}: unknown sensor {node_id!r}")
+        if node.sensor_type is not sensor_type:
+            raise ConfigError(f"{path}: {node_id!r} is a {node.sensor_type.value} sensor")
 
 
 def _encodable(text: str) -> bool:
@@ -196,13 +203,7 @@ class ScenarioConfig:
             if s.node_id in _RESERVED_IDS:
                 raise ConfigError(f"sensors[{i}].id: {s.node_id!r} is a reserved site name")
             by_id[s.node_id] = s
-        _require_type(self.coordinator_overrides, dict, "coordinator_overrides", ConfigError)
-        for sensor_type, node_id in self.coordinator_overrides.items():
-            if not isinstance(sensor_type, SensorType):
-                raise ConfigError(
-                    f"coordinator_overrides: key {sensor_type!r} is not a SensorType"
-                )
-            _require_override(sensor_type, node_id, by_id, "coordinator_overrides")
+        _require_overrides(self.coordinator_overrides, by_id, "coordinator_overrides")
 
     def by_id(self) -> dict[str, SensorNode]:
         return {s.node_id: s for s in self.sensors}
@@ -340,21 +341,12 @@ def load_topology(config_text: str) -> ScenarioConfig:
     }
 
     segment_length = _require_number(raw, "segment_length", "config")
-    overrides: dict[SensorType, str] = {}
-    if "coordinator_overrides" in raw:
-        raw_overrides = raw["coordinator_overrides"]
-        if not isinstance(raw_overrides, dict):
-            raise ConfigError("config.coordinator_overrides: expected an object")
-        for type_name, node_id in raw_overrides.items():
-            if type_name not in _TYPE_BY_NAME:
-                raise ConfigError(
-                    f"config.coordinator_overrides.{type_name}: unknown sensor type"
-                )
-            if not isinstance(node_id, str):
-                raise ConfigError(
-                    f"config.coordinator_overrides.{type_name}: expected a sensor id"
-                )
-            overrides[_TYPE_BY_NAME[type_name]] = node_id
+    overrides = raw.get("coordinator_overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("config.coordinator_overrides: expected an object")
+    for type_name in overrides:
+        if type_name not in _TYPE_BY_NAME:
+            raise ConfigError(f"config.coordinator_overrides.{type_name}: unknown sensor type")
 
     # the value types validate integer fields, ranges, ids and overrides;
     # their errors name the field relative to the config root
@@ -366,7 +358,7 @@ def load_topology(config_text: str) -> ScenarioConfig:
             segment_length=segment_length,
             duration_ticks=raw["duration_ticks"],
             seed=raw["seed"],
-            coordinator_overrides=overrides,
+            coordinator_overrides={_TYPE_BY_NAME[k]: v for k, v in overrides.items()},
         )
     except ConfigError as exc:
         raise ConfigError(f"config.{exc}") from None

@@ -23,7 +23,7 @@ from .cloud import (
 from .errors import ConfigError, WorkloadError
 from .topology import (
     ScenarioConfig, SensorNode, SensorType, _load_object,
-    _require_count, _require_finite, _require_positive, _require_real, _require_type,
+    _require_count, _require_finite, _require_positive, _require_real, _require_type, _shown,
 )
 
 
@@ -274,7 +274,7 @@ def _is_entry(entry: object, size: int) -> bool:
 
 def _require_tick(tick: object, what: str) -> None:
     if isinstance(tick, bool) or not isinstance(tick, int):
-        raise WorkloadError(f"{what}: tick {tick!r} is not an integer")
+        raise WorkloadError(f"{what}: tick {_shown(tick)} is not an integer")
 
 
 def validate_workload(workload: Workload, cfg: ScenarioConfig) -> None:

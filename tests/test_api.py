@@ -30,6 +30,7 @@ from sensegrid import (
     SenseGridError,
     SensorType,
     Service,
+    Workload,
     builtin_testbed,
     compare_strategies,
     dump_topology,
@@ -38,6 +39,9 @@ from sensegrid import (
     generate_workload,
     run_scenario,
 )
+from sensegrid.grids import elect_coordinator_ids
+from sensegrid.report import cost_csv
+from sensegrid.workload import validate_workload
 
 
 @functools.cache
@@ -196,3 +200,33 @@ def test_every_public_callable_returns_or_raises_a_sensegrid_error(name, data):
     except Exception as exc:
         if not _documented(fn, exc):
             raise
+
+
+# An int one digit past the default int-to-str limit: its repr raises a bare
+# ValueError, so an error text may name it only after checking its kind.
+_HUGE = 10**4300
+_QUERY = CentricQuery("Q1", (Service.ENVIRONMENT,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: dataclasses.replace(cfg, coordinator_overrides={SensorType.VISION: _HUGE}),
+        lambda cfg: dataclasses.replace(cfg, coordinator_overrides={_HUGE: "VS_1"}),
+        lambda cfg: CentricQuery("Q1", (_HUGE,), (0, 1)),
+        lambda cfg: form_grids(cfg.sensors, cfg.threshold).grid_for(_HUGE),
+        lambda cfg: form_grids(cfg.sensors, cfg.threshold).grid_for([_HUGE]),
+        lambda cfg: elect_coordinator_ids(("VS_1",), cfg.by_id(), override=_HUGE),
+        lambda cfg: cost_csv({_HUGE: None}),
+        lambda cfg: validate_workload(Workload(queries=(([_HUGE], _QUERY),)), cfg),
+        lambda cfg: validate_workload(Workload(requests=(([_HUGE], "VS_1", "ES_1"),)), cfg),
+        lambda cfg: run_scenario(cfg, Workload(), _HUGE),
+    ],
+    ids=[
+        "override_id", "override_key", "requested_service", "grid_for", "grid_for_a_list",
+        "elected_override", "costs_key", "query_tick", "request_tick", "strategy",
+    ],
+)
+def test_an_int_past_the_digit_limit_gets_a_sensegrid_error(call):
+    with pytest.raises(SenseGridError):
+        call(builtin_testbed())

@@ -880,7 +880,7 @@ def test_failed_batches_raise_in_serial_order_on_both_paths(testbed, monkeypatch
     cfg = dataclasses.replace(testbed, duration_ticks=8)
     workload = _queries((1, (ROAD, SPEED, CONGESTION), (0, 0)), (6, (ENV, SPEED), (3, 6)),
                         (7, ALL, (0, 7)))
-    plan = simulate._plan(cfg, workload)
+    plan = simulate._plan(cfg, sorted(workload.queries, key=lambda e: e[0]))
     failed = [i for i, (_, tick) in enumerate(plan) if tick in (2, 3, 5)]
     # plan[1::2] is the child's share
     assert failed[0] % 2 == 1 and any(i % 2 == 0 for i in failed)
@@ -966,7 +966,7 @@ def test_the_plan_lists_the_batches_a_serial_run_generates(generated):
         for workload in (_queries(*windows), generate_workload(cfg, n_queries, 0)):
             generated.clear()
             simulate._answer_queries(cfg, workload)
-            plan = simulate._plan(cfg, workload)
+            plan = simulate._plan(cfg, sorted(workload.queries, key=lambda e: e[0]))
             per_type = Counter(sensor.sensor_type for sensor in cfg.sensors)
             assert sum(per_type[t] for t, _ in plan) == len(generated)
             assert generated == [
@@ -995,7 +995,7 @@ def test_a_serial_run_generates_every_planned_batch_before_its_first_answer(
     simulate._answer_queries(cfg, workload)
     planned = [
         (sensor.node_id, tick)
-        for sensor_type, tick in simulate._plan(cfg, workload)
+        for sensor_type, tick in simulate._plan(cfg, sorted(workload.queries, key=lambda e: e[0]))
         for sensor in cfg.sensors
         if sensor.sensor_type is sensor_type
     ]
@@ -1787,7 +1787,7 @@ def test_run_report_forms_the_grids_a_flat_trace_lacks(testbed):
          "answered[0]: expected a tuple, got int"),
         (lambda cfg: report.cost_csv({"x": None}), "costs.x: expected a CostReport, got NoneType"),
         (lambda cfg: report.cost_csv({None: CostReport(**_VALID_COSTS)}),
-         "costs key None: expected a str, got NoneType"),
+         "costs key: expected a str, got NoneType"),
         (lambda cfg: report.comparison_csv(None),
          "comparison: expected a CostComparison, got NoneType"),
         (lambda cfg: report.comparison_table(None),

@@ -22,6 +22,7 @@ from sensegrid import (
     builtin_testbed,
     distance,
     dump_topology,
+    form_grids,
     load_topology,
 )
 from helpers import huge_integer_literal, sensor_entry_oracle
@@ -293,9 +294,37 @@ def test_load_topology_override_must_name_known_sensor_of_type():
     raw = _testbed_json(coordinator_overrides={"environment": "nobody"})
     with pytest.raises(ConfigError, match="coordinator_overrides"):
         load_topology(json.dumps(raw))
-    for overrides in ({"vision": "VS_1"}, None, [(SensorType.VISION, "VS_1")]):
-        with pytest.raises(ConfigError, match="^coordinator_overrides: "):
+    for overrides, message in (
+        ({"vision": "VS_1"}, "^coordinator_overrides key: expected a SensorType, got str$"),
+        (None, "^coordinator_overrides: "),
+        ([(SensorType.VISION, "VS_1")], "^coordinator_overrides: "),
+    ):
+        with pytest.raises(ConfigError, match=message):
             ScenarioConfig(builtin_testbed().sensors, 100.0, coordinator_overrides=overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, fault",
+    [
+        ({"vision": "VS_1"}, " key: expected a SensorType, got str"),
+        ({SensorType.VISION: 1}, ".vision: expected a str, got int"),
+        ({SensorType.VISION: "nobody"}, ".vision: unknown sensor 'nobody'"),
+        ({SensorType.VISION: "ES_1"}, ".vision: 'ES_1' is a environment sensor"),
+    ],
+    ids=["key_not_a_sensor_type", "id_not_a_str", "unknown_id", "id_of_another_type"],
+)
+def test_an_override_fault_reads_the_same_at_every_entry_point(overrides, fault):
+    testbed = builtin_testbed()
+    calls = {
+        "coordinator_overrides": lambda: dataclasses.replace(testbed, coordinator_overrides=overrides),
+        "overrides": lambda: form_grids(testbed.sensors, testbed.threshold, overrides),
+    }
+    if all(isinstance(t, SensorType) for t in overrides):  # a file names types by value
+        raw = _testbed_json(coordinator_overrides={t.value: v for t, v in overrides.items()})
+        calls["config.coordinator_overrides"] = lambda: load_topology(json.dumps(raw))
+    for prefix, call in calls.items():
+        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + fault)}$"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -453,7 +482,7 @@ def test_value_types_reject_non_numbers(case):
         ({"cost_params": None}, r"^cost_params: expected a CostParams"),
         (
             {"coordinator_overrides": {SensorType.VISION: ["VS_1"]}},
-            r"^coordinator_overrides\.vision: unknown sensor \['VS_1'\]$",
+            r"^coordinator_overrides\.vision: expected a str, got list$",
         ),
     ],
     ids=["sensors_none", "sensors_with_a_str", "cost_params_none", "override_id_a_list"],
@@ -531,7 +560,7 @@ def _edited_testbed_text(edit):
         ),
         (
             lambda raw: raw.update(coordinator_overrides={"vision": 1}),
-            "config.coordinator_overrides.vision: expected a sensor id",
+            "config.coordinator_overrides.vision: expected a str, got int",
         ),
     ],
     ids=["bool_x", "int_sensor", "int_id", "cost_params_array", "overrides_array", "override_type", "override_id"],
